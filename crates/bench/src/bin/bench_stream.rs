@@ -40,12 +40,9 @@
 //! pooled rows), `--assert-synth-share PCT` (fail the run if synthesis
 //! exceeds PCT percent of the per-cycle stage time on any serial row of the
 //! dispatched backend — the CI guard that vectorized synthesis stays out of
-//! the dominant-stage regime), `--assert-decode-p99 NS` (fail the run if the
-//! serial d = 7 decode p99 exceeds NS nanoseconds on the dispatched backend
-//! — the CI guard that the union-find decoder stays at or under the 56 µs
-//! the paper's d = 7 budget allows), and `--drift` (append fault-injection
-//! robustness rows: the
-//! adaptive engine's cycles/s under an active centroid drift plus its
+//! the dominant-stage regime), and `--drift` (append fault-injection
+//! robustness rows: the adaptive engine's cycles/s under an active centroid
+//! drift plus its
 //! rounds-to-detect and rounds-to-recover, per precision, serial and pooled,
 //! kernel-tagged — emitted under a `"drift"` key in the JSON; each drift
 //! variant also evaluates the demo SLO alert set
@@ -113,11 +110,6 @@ struct Args {
     /// the dispatched backend. CI uses it to pin that vectorized synthesis
     /// stays out of the dominant-stage regime.
     assert_synth_share: Option<f64>,
-    /// `--assert-decode-p99 NS`: fail the run if any serial d = 7 row of the
-    /// dispatched backend reports a decode p99 above NS nanoseconds. CI uses
-    /// it to pin the union-find decoder at or under the d = 7 real-time
-    /// budget the old exact-matcher baseline met.
-    assert_decode_p99: Option<u64>,
 }
 
 /// Parses the command line. `--threads 2,4` wins over
@@ -130,7 +122,6 @@ fn parse_args() -> Args {
     let mut metrics_json = None;
     let mut trace_json = None;
     let mut assert_synth_share = None;
-    let mut assert_decode_p99 = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -175,20 +166,11 @@ fn parse_args() -> Args {
                 );
                 assert_synth_share = Some(pct);
             }
-            "--assert-decode-p99" => {
-                i += 1;
-                assert_decode_p99 = Some(
-                    argv.get(i)
-                        .expect("--assert-decode-p99 requires nanoseconds, e.g. 56000")
-                        .parse::<u64>()
-                        .expect("--assert-decode-p99 must be an integer nanosecond count"),
-                );
-            }
             other => {
                 panic!(
                     "unknown argument {other:?} (supported: --threads N[,M…], --drift, \
                      --serve-text [ADDR], --metrics-json PATH, --trace-json PATH, \
-                     --assert-synth-share PCT, --assert-decode-p99 NS)"
+                     --assert-synth-share PCT)"
                 )
             }
         }
@@ -220,7 +202,6 @@ fn parse_args() -> Args {
         metrics_json,
         trace_json,
         assert_synth_share,
-        assert_decode_p99,
     }
 }
 
@@ -745,38 +726,6 @@ fn main() {
                  dominant-stage regime"
             );
         }
-    }
-
-    // `--assert-decode-p99`: pin the decoder's tail latency at the paper's
-    // d = 7 operating point. Serial rows of the dispatched backend only —
-    // pooled decode timing includes scheduling noise from the overlap, and
-    // d = 7 is the distance whose budget the retired exact matcher already
-    // met, so it is the regression boundary (larger distances are *new*
-    // capability with no baseline to hold).
-    if let Some(limit) = args.assert_decode_p99 {
-        let dispatched = active_kernel_name();
-        let mut checked = 0usize;
-        for r in rows
-            .iter()
-            .filter(|r| r.distance == 7 && r.threads == 1 && r.kernel == dispatched)
-        {
-            let p99 = r.latency.decode.p99;
-            eprintln!(
-                "[bench_stream] decode p99 d={}/{}: {p99} ns (limit {limit} ns)",
-                r.distance, r.precision
-            );
-            assert!(
-                p99 <= limit,
-                "d=7/{} decode p99 {p99} ns exceeds the {limit} ns budget: the union-find \
-                 decoder regressed past the exact-matcher baseline it replaced",
-                r.precision
-            );
-            checked += 1;
-        }
-        assert!(
-            checked > 0,
-            "--assert-decode-p99 given but no serial d=7 {dispatched} rows were measured"
-        );
     }
 
     // `--drift`: fault-injection robustness rows — the adaptive engine under

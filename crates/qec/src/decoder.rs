@@ -1,13 +1,16 @@
-//! Block decoders: exact subset-DP matching and the union-find decoder.
+//! Block decoders: exact matching, the union-find decoder, and the
+//! subset-DP reference oracle.
 //!
 //! Small detection-event sets are decoded with *exact* minimum-weight
-//! perfect matching over events and the two virtual boundaries, computed by
-//! dynamic programming over subsets; everything larger goes to the
+//! matching over the events and the two virtual boundaries, solved by the
+//! blossom matcher of [`crate::matching`]; everything larger goes to the
 //! union-find decoder ([`crate::uf`]) on the precomputed decoding graph
-//! ([`crate::graph`]), which has no defect-count ceiling and near-linear
-//! cost in the number of space-time nodes. The subset DP additionally
-//! survives as the reference oracle (up to [`EXACT_MATCHING_LIMIT`] events)
-//! that the union-find parity tests compare against.
+//! ([`crate::graph`]), which has no defect-count ceiling, near-linear cost
+//! in the number of space-time nodes, and the same matcher re-solving each
+//! small interaction group. A separate dynamic program over event subsets
+//! ([`decode_block_exact`], up to [`EXACT_MATCHING_LIMIT`] events) is the
+//! reference oracle the tests and the benchmark compare against; it shares
+//! no code with the production paths.
 //!
 //! # Logical-class bookkeeping
 //!
@@ -20,11 +23,11 @@
 //! # Canonical tie-breaking
 //!
 //! Minimum-weight matchings are frequently non-unique, and co-optimal
-//! solutions can disagree on west-match parity. The DP therefore minimizes
-//! the pair `(cost, west matches)` lexicographically — both packed into one
-//! `u64` so a single numeric `min` does the job — making `west_matches`
-//! (and hence `logical_error`) a canonical function of the event *set*,
-//! independent of enumeration order. The union-find decoder is
+//! solutions can disagree on west-match parity. Both exact matchers
+//! therefore minimize the pair `(cost, west matches)` lexicographically —
+//! both packed into one `u64` so a single numeric `min` does the job —
+//! making `west_matches` (and hence `logical_error`) a canonical function
+//! of the event *set*, independent of enumeration order. The union-find decoder is
 //! deterministic and order-independent by construction (fixed node-order
 //! growth sweeps).
 
@@ -70,23 +73,25 @@ fn event_distance(code: &RotatedSurfaceCode, a: &DetectionEvent, b: &DetectionEv
     code.stab_distance(a.stab, b.stab) + a.round.abs_diff(b.round)
 }
 
-/// Hard ceiling of the exact subset-DP matcher (`2^n` subsets): the oracle
-/// refuses larger sets. Production dispatch hands blocks to union-find well
-/// before this (see [`EXACT_DISPATCH_LIMIT`]).
+/// Hard ceiling of the subset-DP oracle [`decode_block_exact`] (`2^n`
+/// subsets): it refuses larger sets.
 pub const EXACT_MATCHING_LIMIT: usize = 14;
 
 /// Production dispatch threshold: blocks with at most this many events are
-/// decoded exactly (the DP is a few microseconds there), larger blocks go
-/// to union-find. Chosen so the DP's exponential tail (≈ 250 µs near the
-/// 14-event ceiling) stays out of the streaming latency distribution.
+/// matched exactly in one blossom solve over the whole block; larger blocks
+/// go to union-find, whose cluster growth splits them into interaction
+/// groups that are matched exactly one by one (up to
+/// [`crate::uf::LOCAL_EXACT_LIMIT`] events each).
 pub const EXACT_DISPATCH_LIMIT: usize = 10;
 
 /// Reusable working memory for [`decode_block_with`].
 ///
-/// Owns the subset-DP memo, the union-find scratch, and the decoding graph
-/// (rebuilt only when the code distance or block length changes — never on
-/// the warm path). A scratch built with [`DecodeScratch::prewarmed`] decodes
-/// any block of its `(code, rounds)` envelope without touching the heap;
+/// Owns the union-find scratch (which holds the blossom matcher's
+/// fixed-size tables), the decoding graph (rebuilt only when the code
+/// distance or block length changes — never on the warm path), and the
+/// subset-DP oracle's memo, which only [`decode_block_exact`] grows. A
+/// scratch built with [`DecodeScratch::prewarmed`] decodes any block of its
+/// `(code, rounds)` envelope without touching the heap;
 /// `crates/stream/tests/alloc.rs` pins warm whole cycles at exactly zero
 /// allocations on top of this.
 #[derive(Debug, Clone, Default)]
@@ -103,16 +108,15 @@ impl DecodeScratch {
     }
 
     /// A scratch pre-sized for blocks of up to `rounds` noisy rounds on
-    /// `code`: the decoding graph is built eagerly, the union-find arrays
-    /// cover every space-time node, and the DP memo is reserved to the
-    /// dispatch threshold's `2^EXACT_DISPATCH_LIMIT` subsets. Sized from the
-    /// worst case, not a guess — a block within the envelope never grows it,
-    /// no matter how dense its syndrome gets under fault injection.
+    /// `code`: the decoding graph is built eagerly and the union-find arrays
+    /// cover every space-time node. Sized from the worst case, not a guess —
+    /// a block within the envelope never grows it, no matter how dense its
+    /// syndrome gets under fault injection.
     pub fn prewarmed(code: &RotatedSurfaceCode, rounds: usize) -> Self {
         let graph = DecodingGraph::new(code, rounds);
         let uf = UnionFindScratch::for_graph(&graph);
         DecodeScratch {
-            memo: Vec::with_capacity(1 << EXACT_DISPATCH_LIMIT),
+            memo: Vec::new(),
             graph: Some(graph),
             uf,
         }
@@ -152,7 +156,7 @@ impl DecodeScratch {
 /// Decodes a block and determines the logical class.
 ///
 /// Detection-event sets of at most [`EXACT_DISPATCH_LIMIT`] events are
-/// decoded with exact minimum-weight matching (subset DP, canonical
+/// decoded with exact minimum-weight matching (blossom matcher, canonical
 /// tie-break); larger sets — with no upper ceiling — go to the union-find
 /// decoder. At Fig. 13's operating points most blocks fall in the exact
 /// regime; under drift or at large distances the union-find path keeps
@@ -173,11 +177,23 @@ pub fn decode_block_with(
     block: &SyndromeBlock,
     scratch: &mut DecodeScratch,
 ) -> DecodeOutcome {
-    let n = block.events.len();
-    if n <= EXACT_DISPATCH_LIMIT {
-        return decode_block_exact(code, block, scratch);
+    if block.events.len() <= EXACT_DISPATCH_LIMIT {
+        let events = block.events.iter().copied();
+        let west_matches = scratch.uf.matcher.canonical_west(code, events);
+        return outcome(code, block, west_matches);
     }
     decode_block_uf(code, block, scratch)
+}
+
+/// The outcome of decoding `block` with `west_matches` west-boundary
+/// matches in the correction.
+fn outcome(code: &RotatedSurfaceCode, block: &SyndromeBlock, west_matches: usize) -> DecodeOutcome {
+    DecodeOutcome {
+        n_events: block.events.len(),
+        west_matches,
+        logical_error: block.west_column_error_parity(code) != (west_matches % 2 == 1),
+        degraded: false,
+    }
 }
 
 /// Exact subset-DP decode — the reference oracle. Usable up to
@@ -197,13 +213,7 @@ pub fn decode_block_exact(
         "exact matcher ceiling is {EXACT_MATCHING_LIMIT} events, block has {n}"
     );
     let west_matches = exact_min_weight_west_matches(code, &block.events, &mut scratch.memo);
-    let error_parity = block.west_column_error_parity(code);
-    DecodeOutcome {
-        n_events: n,
-        west_matches,
-        logical_error: error_parity != (west_matches % 2 == 1),
-        degraded: false,
-    }
+    outcome(code, block, west_matches)
 }
 
 /// Union-find decode of a whole block, regardless of size.
@@ -212,19 +222,12 @@ pub fn decode_block_uf(
     block: &SyndromeBlock,
     scratch: &mut DecodeScratch,
 ) -> DecodeOutcome {
-    let n = block.events.len();
     let graph = {
         scratch.ensure_graph(code, block.rounds);
         scratch.graph.as_ref().expect("graph just ensured")
     };
     let west_matches = uf::decode_events(graph, &block.events, &mut scratch.uf);
-    let error_parity = block.west_column_error_parity(code);
-    DecodeOutcome {
-        n_events: n,
-        west_matches,
-        logical_error: error_parity != (west_matches % 2 == 1),
-        degraded: false,
-    }
+    outcome(code, block, west_matches)
 }
 
 /// Exact minimum-weight matching via subset DP with a canonical tie-break:

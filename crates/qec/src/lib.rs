@@ -11,14 +11,18 @@
 //!   errors with probability `p` and syndrome measurement flips with
 //!   probability `εR` (the readout error HERQULES improves), producing
 //!   space-time detection events;
-//! * [`decoder`] — block decoding: exact minimum-weight matching (subset
-//!   DP with a canonical tie-break) for small event sets, dispatching to the
-//!   union-find decoder for everything larger;
+//! * [`decoder`] — block decoding: exact minimum-weight matching for small
+//!   event sets, dispatching to the union-find decoder for everything
+//!   larger, plus the subset-DP reference oracle;
+//! * [`matching`] — the exact matcher: Edmonds' blossom algorithm over a
+//!   set of detection events with the boundary folded into the edge
+//!   weights and a canonical tie-break, `O(k³)` in fixed memory;
 //! * [`graph`] — the precomputed space-time decoding graph (stabilizer ×
 //!   round nodes, virtual west/east boundary nodes, uniform-weight edges);
 //! * [`uf`] — the union-find decoder: synchronous half-step cluster growth
-//!   with weighted union + path compression, boundary absorption, and
-//!   spanning-forest peeling — no defect-count ceiling, near-linear cost;
+//!   with weighted union + path compression, boundary absorption,
+//!   spanning-forest peeling, and exact re-matching of small interaction
+//!   groups — no defect-count ceiling, near-linear cost;
 //! * [`window`] — sliding-window streaming decode: commit clusters `lag`
 //!   rounds behind the stream, defer seam-straddling clusters wholesale;
 //! * [`logical`] — Monte-Carlo logical-error-rate estimation;
@@ -52,6 +56,7 @@ pub mod decoder;
 pub mod graph;
 pub mod layout;
 pub mod logical;
+pub mod matching;
 pub mod syndrome;
 pub mod uf;
 pub mod window;

@@ -267,8 +267,10 @@ impl<'a> SyndromeSim<'a> {
         out.rounds = self.round;
     }
 
-    /// Consumes the stepper into an owned [`SyndromeBlock`].
-    pub fn into_block(self) -> SyndromeBlock {
+    /// Consumes the stepper into an owned [`SyndromeBlock`], trimming the
+    /// event buffer to its length (a kept block holds no growth slack).
+    pub fn into_block(mut self) -> SyndromeBlock {
+        self.events.shrink_to_fit();
         SyndromeBlock {
             events: self.events,
             final_errors: self.errors,

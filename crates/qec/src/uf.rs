@@ -31,11 +31,11 @@
 //! within the interaction radius `d + 1` of each other (far enough that a
 //! direct pairing can never tie two independent boundary resolutions
 //! beyond it) — and every group with at most [`LOCAL_EXACT_LIMIT`] events
-//! has its west count *refined* by the exact canonical subset-DP over the
-//! group — the identical metric and min-cost/min-west tie-break as
-//! [`crate::decoder`]'s oracle. Clusters and their groups are small with
-//! overwhelming probability, so the refinement is near-free; only a group
-//! beyond the limit keeps the sum of its components' peeled answers.
+//! has its west count *refined* by the blossom matcher of
+//! [`crate::matching`]: exact minimum-weight matching over the group with
+//! the identical metric and min-cost/min-west tie-break as
+//! [`crate::decoder`]'s oracle, in `O(k³)` time and fixed memory. Only a
+//! group beyond the limit keeps the sum of its components' peeled answers.
 //!
 //! Everything runs against a caller-owned [`UnionFindScratch`]: once sized
 //! for a graph (see [`UnionFindScratch::for_graph`]) a decode performs no
@@ -47,19 +47,15 @@
 //! independent of the order events are listed in.
 
 use crate::graph::{DecodingGraph, EDGE_WEIGHT, MAX_SLOTS, SPATIAL_SLOT0};
+use crate::matching::Matcher;
 use crate::syndrome::DetectionEvent;
 
 const NO_NODE: u32 = u32::MAX;
 
-/// Components with at most this many defects are re-matched exactly (the
-/// same ceiling as [`crate::decoder::EXACT_MATCHING_LIMIT`]); larger ones
-/// keep the peeled correction.
+/// Interaction groups with at most this many events are re-matched exactly
+/// by the blossom matcher; larger ones keep the peeled correction. Equal to
+/// the oracle's ceiling, [`crate::decoder::EXACT_MATCHING_LIMIT`].
 pub const LOCAL_EXACT_LIMIT: usize = 14;
-
-/// Low bits of the packed local-DP value hold the west count; the cost sits
-/// above them, so `min` on the packed value is the canonical
-/// (min-cost, then min-west) tie-break.
-const WEST_BITS: u32 = 8;
 
 /// One recorded spanning-forest edge (endpoints as graph node indices; the
 /// second endpoint may be a virtual boundary node).
@@ -116,9 +112,9 @@ pub struct UnionFindScratch {
     group_max_round: Vec<u32>,
     /// Per-group commit flag for [`decode_events_commit`].
     group_commit: Vec<bool>,
-    /// Subset-DP table for the group refinement (≤ `1 << LOCAL_EXACT_LIMIT`
-    /// packed entries).
-    memo: Vec<u64>,
+    /// Exact matcher for the group refinement (fixed-size tables); the
+    /// decoder's small-block dispatch shares it.
+    pub(crate) matcher: Matcher,
 }
 
 impl UnionFindScratch {
@@ -169,8 +165,6 @@ impl UnionFindScratch {
                 .reserve(n.saturating_sub(self.group_max_round.capacity()));
             self.group_commit
                 .reserve(n.saturating_sub(self.group_commit.capacity()));
-            self.memo
-                .reserve((1usize << LOCAL_EXACT_LIMIT).saturating_sub(self.memo.capacity()));
         }
     }
 }
@@ -325,10 +319,10 @@ fn interaction_radius(graph: &DecodingGraph) -> usize {
 
 /// Links events into interaction groups (same grown cluster, or within the
 /// interaction radius) and replaces each small group's peeled west count
-/// with the exact canonical matching over the group's events: minimum total
-/// cost first, minimum west count among co-optimal matchings second —
-/// exactly the oracle's tie-break, so union-find agrees with the exact
-/// matcher whenever the optimal matching does not pair defects across
+/// with the blossom matcher's canonical matching over the group's events:
+/// minimum total cost first, minimum west count among co-optimal matchings
+/// second — exactly the oracle's tie-break, so union-find agrees with the
+/// exact matcher whenever the optimal matching does not pair defects across
 /// groups (which the radius makes strictly suboptimal). Fills the
 /// per-event-group tables (`ev_parent`, `group_west`, `group_max_round`)
 /// that [`decode_events`] / [`decode_events_commit`] read.
@@ -388,14 +382,14 @@ fn refine_groups(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut
         scratch.by_group[w] = (rep, c, i);
     }
     // In-place unstable sort: no allocation on the warm path. The event
-    // index tie-key only orders within one component; the DP below is
+    // index tie-key only orders within one component; the matcher below is
     // canonical over the event *set*, so input order cannot leak into the
     // west count.
     scratch.by_group.sort_unstable();
 
     let UnionFindScratch {
         by_group,
-        memo,
+        matcher,
         comp_west,
         comp_max_round,
         group_west,
@@ -423,7 +417,8 @@ fn refine_groups(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut
         }
         group_max_round[rep as usize] = max_round;
         group_west[rep as usize] = if j - i <= LOCAL_EXACT_LIMIT {
-            local_exact_west(graph, events, &by_group[i..j], memo)
+            let group = by_group[i..j].iter().map(|&(_, _, e)| events[e as usize]);
+            matcher.canonical_west(graph, group) as u32
         } else {
             fallback_west
         };
@@ -442,43 +437,6 @@ fn union_events(parent: &mut [u32], a: u32, b: u32) {
     }
     let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
     parent[hi as usize] = lo;
-}
-
-/// Canonical subset-DP over one component's events (≤ [`LOCAL_EXACT_LIMIT`]).
-/// Packed values carry `(cost << WEST_BITS) | west`, so the running `min`
-/// picks minimum cost and, among ties, minimum west — identical to
-/// [`crate::decoder`]'s exact matcher on the same event set.
-fn local_exact_west(
-    graph: &DecodingGraph,
-    events: &[DetectionEvent],
-    group: &[(u32, u32, u32)],
-    memo: &mut Vec<u64>,
-) -> u32 {
-    let k = group.len();
-    debug_assert!((1..=LOCAL_EXACT_LIMIT).contains(&k));
-    let full = (1usize << k) - 1;
-    memo.clear();
-    memo.resize(full + 1, u64::MAX);
-    memo[0] = 0;
-    for mask in 1..=full {
-        let first = mask.trailing_zeros() as usize;
-        let ea = &events[group[first].2 as usize];
-        let rest = mask & !(1usize << first);
-        // Boundary options for the lowest set event.
-        let mut best = memo[rest] + ((graph.dist_west(ea.stab) as u64) << WEST_BITS) + 1;
-        best = best.min(memo[rest] + ((graph.dist_east(ea.stab) as u64) << WEST_BITS));
-        // Pair it with any other remaining event.
-        let mut others = rest;
-        while others != 0 {
-            let b = others.trailing_zeros() as usize;
-            others &= others - 1;
-            let eb = &events[group[b].2 as usize];
-            let d = graph.stab_distance(ea.stab, eb.stab) + ea.round.abs_diff(eb.round);
-            best = best.min(memo[rest & !(1usize << b)] + ((d as u64) << WEST_BITS));
-        }
-        memo[mask] = best;
-    }
-    (memo[full] & ((1u64 << WEST_BITS) - 1)) as u32
 }
 
 /// Adds half-step support to every unsaturated half-edge of node `u`,

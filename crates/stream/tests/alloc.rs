@@ -22,7 +22,10 @@ use herqles_stream::{
 use herqles_telemetry::Registry;
 use readout_sim::trace::IqPoint;
 use readout_sim::ChipConfig;
-use surface_code::RotatedSurfaceCode;
+use surface_code::syndrome::DetectionEvent;
+use surface_code::{
+    decode_block_exact, decode_block_with, DecodeScratch, RotatedSurfaceCode, SyndromeBlock,
+};
 
 struct CountingAlloc;
 
@@ -319,7 +322,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // Dense blocks under active faults route through the union-find decoder
     // (past `EXACT_DISPATCH_LIMIT`), whose scratch — parents, sizes,
     // half-edge support, frontier queues, peeling stacks, interaction-group
-    // buffers and the local-DP memo — is pre-sized by
+    // buffers and the exact matcher's fixed tables — is pre-sized by
     // `DecodeScratch::prewarmed` at engine construction. Warm cycles that
     // grow, peel, and refine real clusters must stay heap-free.
     let dense_cfg = CycleConfig {
@@ -346,6 +349,40 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     assert_eq!(
         dense_cycle_allocs, 0,
         "warm union-find decodes of dense faulted blocks must not touch the heap"
+    );
+
+    // The largest interaction group the union-find refinement re-matches
+    // exactly: 14 events on seven stabilizers in two consecutive rounds at
+    // d = 5. Every pair lies within the interaction radius d + 1, so the
+    // block (past `EXACT_DISPATCH_LIMIT`, hence union-find) is one group
+    // and one 14-event blossom solve in the matcher's fixed tables.
+    let code5 = RotatedSurfaceCode::new(5);
+    let group_block = SyndromeBlock {
+        events: (0..7)
+            .flat_map(|stab| [0, 1].map(|round| DetectionEvent { stab, round }))
+            .collect(),
+        final_errors: vec![false; code5.n_data()],
+        rounds: 5,
+    };
+    assert_eq!(
+        group_block.events.len(),
+        surface_code::uf::LOCAL_EXACT_LIMIT
+    );
+    let oracle = decode_block_exact(&code5, &group_block, &mut DecodeScratch::new());
+    let mut group_scratch = DecodeScratch::prewarmed(&code5, 5);
+    let _ = decode_block_with(&code5, &group_block, &mut group_scratch);
+    let mut group_outcome = None;
+    let group_allocs = min_allocs_over(3, || {
+        group_outcome = Some(decode_block_with(&code5, &group_block, &mut group_scratch));
+    });
+    assert_eq!(
+        group_allocs, 0,
+        "warm decodes of a 14-event interaction group must not touch the heap"
+    );
+    assert_eq!(
+        group_outcome,
+        Some(oracle),
+        "the group decodes to the oracle's answer"
     );
 
     // Sliding-window streaming decode rides inside the same invariant: every
