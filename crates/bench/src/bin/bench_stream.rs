@@ -5,13 +5,14 @@
 //! (rounds = d)
 //! at **both pipeline precisions** (`CycleEngine<f64>` and
 //! `CycleEngine<f32>`) and at **several worker counts**: the serial engine
-//! (`threads = 1`) plus a pooled [`ParallelCycleEngine`] on a
-//! [`ShardPool`] for every count in `--threads` (default `2,4`). All
-//! variants are bit-identical per seed; the rows measure cycles/second and
-//! the per-stage nanosecond breakdown (synth / discriminate / syndrome /
-//! decode) of the warm engine. On pooled rows the synth figure is the
-//! *exposed* synthesis latency — what the two-stage pipeline could not hide
-//! behind discrimination. The offline materializing path (f64, serial by
+//! (`threads = 1`, [`CycleEngine::new`]'s inline pool) plus
+//! [`CycleEngine::with_pool`] on a [`ShardPool`] for every count in
+//! `--threads` (default `2,4`). All variants are bit-identical per seed;
+//! the rows measure cycles/second and the per-stage nanosecond breakdown
+//! (synth / discriminate / syndrome / decode) of the warm engine. On every
+//! row the synth figure is the *exposed* synthesis latency — the fan-out's
+//! wall time minus the consume stage it overlaps, which on one thread is
+//! all of synthesis. The offline materializing path (f64, serial by
 //! construction) is timed on the same workload for the speedup column.
 //!
 //! Results land in `BENCH_stream.json` (cwd), continuing the performance

@@ -17,21 +17,28 @@
 //! [`CycleEngine::cycles`] iterator of [`CycleResult`]s carrying per-stage
 //! nanosecond timings.
 //!
-//! # Parallel execution
+//! # One round pipeline
 //!
-//! [`CycleEngine::with_pool`] attaches a [`herqles_exec::ShardPool`] and
-//! turns the engine into a [`ParallelCycleEngine`]: each feedline group
-//! becomes a shard owning its own [`RoundSynth`] (synthesis is `&mut self`,
-//! so one synthesizer per shard), and whole cycles run on a two-stage
-//! pipeline that overlaps round `t+1`'s waveform synthesis with round `t`'s
-//! discriminate → syndrome → decode using a second, ping-ponged
-//! [`RoundBuffers`]. Because every round draws its per-group randomness from
-//! SplitMix64-derived streams ([`herqles_exec::stream_seed`] over a single
-//! per-round entropy word from the master RNG), the pooled engine is
-//! **bit-identical to the serial engine at every pool size** — and the
-//! serial engine in turn stays bit-identical to the offline materializing
-//! reference. Warm pooled rounds keep the zero-allocation invariant: job
-//! dispatch on the pool allocates nothing.
+//! Every engine runs its cycles on a [`herqles_exec::ShardPool`]: the pool
+//! passed to [`CycleEngine::with_pool`], or for [`CycleEngine::new`] a
+//! process-wide 1-thread pool that spawns no thread. Each feedline group is
+//! a shard owning its own [`RoundSynth`] (synthesis is `&mut self`, so one
+//! synthesizer per shard), and a cycle is a two-stage pipeline over two
+//! ping-ponged [`RoundBuffers`]: round `t+1`'s sharded synthesis overlaps
+//! round `t`'s consume stage — discriminate → syndrome commit → health →
+//! sliding-window advance. Because every round draws its per-group
+//! randomness from SplitMix64-derived streams ([`herqles_exec::stream_seed`]
+//! over a single per-round entropy word from the master RNG), output is
+//! **bit-identical at every pool size** and to the offline materializing
+//! reference. Warm cycles keep the zero-allocation invariant: job dispatch
+//! on the pool allocates nothing.
+//!
+//! Stage accounting is the same at every pool size: the consume stage
+//! charges its own discriminate, syndrome and decode time, and synthesis is
+//! charged the fan-out's wall time minus the consume stage — the synthesis
+//! latency the overlap did not hide. On a 1-thread pool that is all of it.
+
+use std::sync::OnceLock;
 
 use herqles_core::{Discriminator, PrecisionDiscriminator, Real};
 use herqles_exec::{stream_seed, ShardPool, Tiles};
@@ -41,6 +48,7 @@ use rand::{RngExt, SeedableRng};
 use readout_sim::drift::{FaultPlan, RoundFaults};
 use readout_sim::{BasisState, ChipConfig, ShotBatch};
 use surface_code::decoder::DecodeOutcome;
+use surface_code::syndrome::DetectionEvent;
 use surface_code::{
     decode_block_with, DecodeScratch, NoiseParams, RotatedSurfaceCode, SlidingWindowDecoder,
     SyndromeBlock, SyndromeSim,
@@ -153,8 +161,10 @@ pub struct EngineStats {
     pub logical_errors: u64,
     /// Blocks whose decode overran the configured real-time budget
     /// ([`CycleEngine::set_decode_budget_ns`]) and were stamped
-    /// [`DecodeOutcome::degraded`]. Always zero with no budget set — every
-    /// block decodes exactly (union-find past the small-block dispatch).
+    /// [`DecodeOutcome::degraded`]. Always zero with no budget set. Zero
+    /// does not mean every decode was exact: the union-find decoder keeps
+    /// the peeled answer for an interaction group larger than
+    /// [`surface_code::uf::LOCAL_EXACT_LIMIT`] events.
     pub degraded_decodes: u64,
     /// Health-status transitions reported by the engine's
     /// [`HealthMonitor`].
@@ -175,6 +185,12 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Counts one reported decode outcome.
+    fn note_outcome(&mut self, outcome: &DecodeOutcome) {
+        self.logical_errors += u64::from(outcome.logical_error);
+        self.degraded_decodes += u64::from(outcome.degraded);
+    }
+
     /// The multi-line human-readable report [`EngineStats`]'s `Display`
     /// renders.
     #[must_use]
@@ -273,15 +289,22 @@ struct HealthState {
     margin_supported: bool,
 }
 
-/// The execution state a pooled engine carries on top of the serial one:
-/// the pool handle, one [`RoundSynth`] per feedline-group shard, the round's
-/// per-group RNG stream seeds, and the second [`RoundBuffers`] that the
-/// two-stage pipeline ping-pongs against the engine's front buffer.
+/// The pool an engine runs on, one [`RoundSynth`] per feedline-group shard,
+/// the round's per-group RNG stream seeds, and the back [`RoundBuffers`]
+/// that the two-stage pipeline synthesizes into while the engine's front
+/// buffer is consumed.
 struct PoolState<'a, R: Real> {
     pool: &'a ShardPool,
     synths: Vec<RoundSynth<R>>,
     seeds: Vec<u64>,
     back: RoundBuffers<R>,
+}
+
+/// The pool behind [`CycleEngine::new`]: its one thread is the caller, so it
+/// spawns nothing and runs both pipeline stages inline.
+fn inline_pool() -> &'static ShardPool {
+    static POOL: OnceLock<ShardPool> = OnceLock::new();
+    POOL.get_or_init(|| ShardPool::new(1))
 }
 
 /// Sliding-window streaming decode state: the window decoder plus per-block
@@ -293,6 +316,180 @@ struct WindowState {
     /// Whether any decode step of the current block overran the engine's
     /// real-time budget.
     over_budget: bool,
+}
+
+impl WindowState {
+    /// Feeds the block's events not yet in the window.
+    fn feed(&mut self, events: &[DetectionEvent]) {
+        self.wd.push_events(&events[self.events_fed..]);
+        self.events_fed = events.len();
+    }
+
+    /// Ends a block: feeds the terminating perfect round's events, resolves
+    /// whatever the window deferred, and combines with the west parity
+    /// committed during the stream. When the stream committed nothing ahead
+    /// of the block end, the whole block goes through the standard dispatch
+    /// instead — bit-identical to whole-block mode on quiet or short streams.
+    fn finish(
+        &mut self,
+        code: &RotatedSurfaceCode,
+        rounds: usize,
+        block: &SyndromeBlock,
+        scratch: &mut DecodeScratch,
+    ) -> DecodeOutcome {
+        self.feed(&block.events);
+        if self.wd.committed_clusters() == 0 {
+            return decode_block_with(code, block, scratch);
+        }
+        let (graph, uf) = scratch.window_parts(code, rounds);
+        let west_matches = self.wd.finish(graph, uf);
+        debug_assert_eq!(self.wd.n_events(), block.events.len());
+        DecodeOutcome {
+            n_events: self.wd.n_events(),
+            west_matches,
+            logical_error: block.west_column_error_parity(code) != (west_matches % 2 == 1),
+            degraded: false,
+        }
+    }
+}
+
+/// When a block's decode work happens. Logical verdicts are the same in
+/// every mode (see [`CycleEngine::set_sliding_window`] for the one caveat).
+enum DecodeMode {
+    /// The whole block decodes when its cycle finishes.
+    WholeBlock,
+    /// Every consumed round advances a sliding window
+    /// ([`CycleEngine::set_sliding_window`]); the cycle's end resolves the
+    /// remainder.
+    Window(WindowState),
+    /// Each block decodes in the next cycle's round-0 pipeline slot
+    /// ([`CycleEngine::set_async_decode`]).
+    Offload {
+        /// A finished block awaits its decode.
+        pending: bool,
+        /// The latest offloaded decode's outcome, not yet reported.
+        outcome: DecodeOutcome,
+    },
+}
+
+/// The engine's decode side: the code and block length it decodes, the
+/// decoder workspace, the decode schedule, and the real-time budget.
+struct BlockDecoder<'a> {
+    code: &'a RotatedSurfaceCode,
+    rounds: usize,
+    /// Reusable decoder workspace: pre-sized at construction so no decode
+    /// allocates, completing the warm whole-cycle zero-allocation invariant
+    /// (`tests/alloc.rs`).
+    scratch: DecodeScratch,
+    mode: DecodeMode,
+    /// Real-time budget per decode step; overruns stamp
+    /// [`DecodeOutcome::degraded`].
+    budget_ns: Option<u64>,
+}
+
+/// One decode step: runs `decode`, stamps [`DecodeOutcome::degraded`] when
+/// it overran `budget_ns`, records its `Decode` span, and charges its time to
+/// `stage`.
+fn timed_decode(
+    budget_ns: Option<u64>,
+    telem: &EngineTelemetry,
+    stage: &mut StageNanos,
+    arg: u64,
+    decode: impl FnOnce() -> DecodeOutcome,
+) -> DecodeOutcome {
+    let mut timer = StageTimer::start();
+    let mut outcome = decode();
+    let (begin, ns) = timer.lap_span_ns();
+    outcome.degraded |= budget_ns.is_some_and(|b| ns > b);
+    telem.note_span(SpanKind::Decode, begin, ns, arg);
+    stage.decode += ns;
+    outcome
+}
+
+impl BlockDecoder<'_> {
+    /// Clears the per-block window state.
+    fn begin_block(&mut self) {
+        if let DecodeMode::Window(ws) = &mut self.mode {
+            ws.wd.reset();
+            ws.events_fed = 0;
+            ws.over_budget = false;
+        }
+    }
+
+    /// Feeds the rounds committed so far into the sliding window and commits
+    /// every cluster confined behind the lag; an overrun latches into the
+    /// block's degraded stamp. No-op outside window mode.
+    fn advance_window(
+        &mut self,
+        sim: &SyndromeSim<'_>,
+        telem: &EngineTelemetry,
+        stage: &mut StageNanos,
+    ) {
+        let DecodeMode::Window(ws) = &mut self.mode else {
+            return;
+        };
+        // The round just committed (sim.round() counts committed rounds).
+        let t = sim.round().saturating_sub(1);
+        let (graph, uf) = self.scratch.window_parts(self.code, self.rounds);
+        let step = timed_decode(self.budget_ns, telem, stage, t as u64, || {
+            ws.feed(sim.events());
+            ws.wd.advance(t, graph, uf);
+            DecodeOutcome::default()
+        });
+        ws.over_budget |= step.degraded;
+    }
+
+    /// Decodes the block just finished, as the mode schedules it: whole, or
+    /// the window's remainder — or, under offload, returns the previous
+    /// block's outcome (empty when none was pending) and leaves this block
+    /// for the next cycle's round-0 slot.
+    fn finish_block(
+        &mut self,
+        block: &SyndromeBlock,
+        telem: &EngineTelemetry,
+        stage: &mut StageNanos,
+        cycle: u64,
+    ) -> DecodeOutcome {
+        match &mut self.mode {
+            DecodeMode::WholeBlock => timed_decode(self.budget_ns, telem, stage, cycle, || {
+                decode_block_with(self.code, block, &mut self.scratch)
+            }),
+            DecodeMode::Window(ws) => {
+                let mut outcome = timed_decode(self.budget_ns, telem, stage, cycle, || {
+                    ws.finish(self.code, self.rounds, block, &mut self.scratch)
+                });
+                outcome.degraded |= ws.over_budget;
+                outcome
+            }
+            DecodeMode::Offload { pending, outcome } => {
+                *pending = true;
+                std::mem::take(outcome)
+            }
+        }
+    }
+
+    /// Runs the offloaded decode of the block awaiting it, if any, into the
+    /// offload outcome, and returns that outcome.
+    fn decode_pending(
+        &mut self,
+        block: &SyndromeBlock,
+        telem: &EngineTelemetry,
+        stage: &mut StageNanos,
+        cycle: u64,
+    ) -> Option<&mut DecodeOutcome> {
+        let DecodeMode::Offload {
+            pending: pending @ true,
+            outcome,
+        } = &mut self.mode
+        else {
+            return None;
+        };
+        *pending = false;
+        *outcome = timed_decode(self.budget_ns, telem, stage, cycle, || {
+            decode_block_with(self.code, block, &mut self.scratch)
+        });
+        Some(outcome)
+    }
 }
 
 /// Streaming readout → syndrome → decode engine for one surface code, one
@@ -308,52 +505,35 @@ struct WindowState {
 /// single precision, with the same zero-allocation steady state.
 pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     cfg: CycleConfig,
-    code: &'a RotatedSurfaceCode,
     disc: &'a D,
     map: AncillaMap,
     rng: StdRng,
-    synth: RoundSynth<R>,
     sim: SyndromeSim<'a>,
+    /// The round being consumed; its twin in `exec.back` is being
+    /// synthesized.
     round: RoundBuffers<R>,
+    exec: PoolState<'a, R>,
     /// Double-buffered block homes: the block finished last cycle stays
     /// readable (via [`CycleEngine::last_block`]) while the next cycle's
     /// rounds accumulate, and block storage is never reallocated.
     blocks: [SyndromeBlock; 2],
     active: usize,
-    /// Reusable decoder workspace: pre-sized at construction so the block
-    /// decode in [`CycleEngine::finish_cycle`] never allocates, completing
-    /// the warm whole-cycle zero-allocation invariant (`tests/alloc.rs`).
-    decode: DecodeScratch,
-    /// Sliding-window streaming decode state
-    /// ([`CycleEngine::set_sliding_window`]); `None` = whole-block mode.
-    window: Option<WindowState>,
-    /// Real-time budget per decode step; overruns stamp
-    /// [`DecodeOutcome::degraded`].
-    decode_budget_ns: Option<u64>,
-    /// Whether block decodes are offloaded into the next cycle's round-0
-    /// pipeline slot ([`CycleEngine::set_async_decode`]).
-    async_decode: bool,
-    /// A finished block is awaiting its offloaded decode.
-    async_pending: bool,
-    /// Outcome of the most recent offloaded decode.
-    async_outcome: DecodeOutcome,
+    decoder: BlockDecoder<'a>,
     in_flight: StageNanos,
     totals: EngineStats,
-    /// Present iff the engine was built with [`CycleEngine::with_pool`].
-    exec: Option<PoolState<'a, R>>,
     /// Deterministic fault schedule (empty by default: the zero-cost no-fault
     /// path) and the per-round snapshot it resolves into.
     plan: FaultPlan,
     faults: RoundFaults,
     /// Rounds synthesized since construction — the fault schedule's clock.
     /// Distinct from `totals.rounds`, which counts *consumed* rounds and
-    /// therefore lags synthesis inside the pooled pipeline.
+    /// therefore lags synthesis inside the pipeline.
     synth_round: u64,
     health: HealthState,
     /// Consumed-round stamp of the last discriminator hot-swap.
     last_swap_round: u64,
-    /// [`now_ns`] stamp of the current cycle's [`CycleEngine::begin_cycle`],
-    /// the begin timestamp of the cycle's flight-recorder span.
+    /// [`now_ns`] stamp of the current cycle's start, the begin timestamp of
+    /// the cycle's flight-recorder span.
     cycle_begin_ns: u64,
     /// Minimum consumed rounds between hot-swaps.
     recal_cooldown: u64,
@@ -362,14 +542,9 @@ pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     telem: EngineTelemetry,
 }
 
-/// A [`CycleEngine`] whose cycles execute on a [`ShardPool`]
-/// (constructed via [`CycleEngine::with_pool`]): sharded round synthesis
-/// plus the two-stage synthesis/consumption pipeline, bit-identical to the
-/// serial engine at every pool size.
-pub type ParallelCycleEngine<'a, R = f64, D = dyn Discriminator + 'a> = CycleEngine<'a, R, D>;
-
 impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
-    /// Builds an engine.
+    /// Builds an engine on a process-wide 1-thread [`ShardPool`], which
+    /// spawns no thread: both pipeline stages run inline on the caller.
     ///
     /// # Panics
     ///
@@ -382,14 +557,34 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         code: &'a RotatedSurfaceCode,
         disc: &'a D,
     ) -> Self {
+        Self::with_pool(cfg, chip, code, disc, inline_pool())
+    }
+
+    /// Builds an engine whose cycles run on `pool`: each feedline group's
+    /// synthesis is one shard, and round `t+1`'s synthesis overlaps round
+    /// `t`'s consume stage. Output is **bit-identical** to
+    /// [`CycleEngine::new`] at every pool size, and warm cycles stay free
+    /// of heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`CycleEngine::new`].
+    pub fn with_pool(
+        cfg: CycleConfig,
+        chip: &ChipConfig,
+        code: &'a RotatedSurfaceCode,
+        disc: &'a D,
+        pool: &'a ShardPool,
+    ) -> Self {
         cfg.validate();
         assert_eq!(
             disc.n_qubits(),
             chip.n_qubits(),
             "discriminator and chip must cover the same channels"
         );
-        let synth = RoundSynth::new(chip);
         let map = AncillaMap::new(code.n_stabilizers(), chip.n_qubits());
+        let n_groups = map.n_groups();
+        let synths: Vec<RoundSynth<R>> = (0..n_groups).map(|_| RoundSynth::new(chip)).collect();
         // meas_error_prob = 0: measurement noise comes from the physical
         // readout + discrimination loop, not the phenomenological coin.
         let noise = NoiseParams {
@@ -403,7 +598,6 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
             final_errors: vec![false; code.n_data()],
             rounds: 0,
         };
-        let round = RoundBuffers::new(&map, synth.n_samples());
         let health = HealthState {
             monitor: HealthMonitor::new(HealthConfig::default(), map.n_ancillas()),
             margins: vec![0.0; chip.n_qubits()],
@@ -412,27 +606,32 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         };
         CycleEngine {
             cfg,
-            code,
             disc,
-            map,
             rng: StdRng::seed_from_u64(cfg.seed),
-            synth,
             sim,
-            round,
+            round: RoundBuffers::new(&map, chip.n_samples()),
+            exec: PoolState {
+                pool,
+                synths,
+                seeds: vec![0; n_groups],
+                back: RoundBuffers::new(&map, chip.n_samples()),
+            },
+            map,
             blocks: [empty.clone(), empty],
             active: 0,
-            // Sized for this engine's worst case up front: the decoding
-            // graph, union-find buffers, and DP table for (code, rounds)
-            // blocks, so the first cycle decodes without allocating.
-            decode: DecodeScratch::prewarmed(code, cfg.rounds),
-            window: None,
-            decode_budget_ns: None,
-            async_decode: false,
-            async_pending: false,
-            async_outcome: DecodeOutcome::default(),
+            decoder: BlockDecoder {
+                code,
+                rounds: cfg.rounds,
+                // Sized for this engine's worst case up front: the decoding
+                // graph, union-find buffers, and matcher tables for (code,
+                // rounds) blocks, so the first cycle decodes without
+                // allocating.
+                scratch: DecodeScratch::prewarmed(code, cfg.rounds),
+                mode: DecodeMode::WholeBlock,
+                budget_ns: None,
+            },
             in_flight: StageNanos::default(),
             totals: EngineStats::default(),
-            exec: None,
             plan: FaultPlan::none(),
             faults: RoundFaults::nominal(chip.n_qubits()),
             synth_round: 0,
@@ -442,38 +641,6 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
             recal_cooldown: 64,
             telem: EngineTelemetry::new(),
         }
-    }
-
-    /// Builds a [`ParallelCycleEngine`]: identical configuration and
-    /// **bit-identical output** to [`CycleEngine::new`], but whole cycles
-    /// ([`CycleEngine::run_cycle`] and everything built on it) execute on
-    /// `pool` — each feedline group's synthesis is one shard, and round
-    /// `t+1`'s synthesis overlaps round `t`'s discriminate → syndrome
-    /// pipeline stage. Warm rounds stay free of heap allocation.
-    ///
-    /// The manual [`CycleEngine::step_round`] API remains available and
-    /// serial (one caller thread), producing the same results; only the
-    /// cycle-granular entry points fan out.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`CycleEngine::new`].
-    pub fn with_pool(
-        cfg: CycleConfig,
-        chip: &ChipConfig,
-        code: &'a RotatedSurfaceCode,
-        disc: &'a D,
-        pool: &'a ShardPool,
-    ) -> Self {
-        let mut engine = Self::new(cfg, chip, code, disc);
-        let n_groups = engine.map.n_groups();
-        engine.exec = Some(PoolState {
-            pool,
-            synths: (0..n_groups).map(|_| RoundSynth::new(chip)).collect(),
-            seeds: vec![0; n_groups],
-            back: RoundBuffers::new(&engine.map, engine.synth.n_samples()),
-        });
-        engine
     }
 
     /// The engine's configuration.
@@ -503,8 +670,8 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     ///
     /// Fault resolution is part of the serial round prologue and the
     /// injected randomness rides the existing per-group synthesis streams,
-    /// so pooled and serial engines under the same plan remain
-    /// **bit-identical at every pool size**.
+    /// so engines under the same plan remain **bit-identical at every pool
+    /// size**.
     ///
     /// # Panics
     ///
@@ -515,6 +682,8 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
             panic!("invalid fault plan: {e}");
         }
         self.plan = plan;
+        // An emptied plan stops resolving: leave no stale snapshot behind.
+        self.faults = RoundFaults::nominal(self.faults.n_qubits());
     }
 
     /// The installed fault schedule (empty by default).
@@ -539,12 +708,14 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     }
 
     /// Switches the engine to sliding-window streaming decode: every
-    /// committed round feeds the union-find window, clusters confined `lag`
-    /// rounds behind the stream commit while later rounds are still being
-    /// synthesized, and [`CycleEngine::finish_cycle`] only resolves the
-    /// remainder. Cycle outcomes stay identical to whole-block mode (pinned
-    /// by `tests/decode_modes.rs`); the difference is *when* the decode work
-    /// happens. Call between cycles, not mid-block.
+    /// consumed round feeds the union-find window, and clusters confined
+    /// `lag` rounds behind the stream commit while later rounds are still
+    /// being synthesized; the cycle's end only resolves the remainder.
+    /// Cycle outcomes match whole-block mode (pinned at d ≤ 5 by
+    /// `tests/decode_modes.rs` and `tests/invariants.rs`); the difference
+    /// is *when* the decode work happens. A co-optimal tie can still leave
+    /// the window a different `west_matches` count with the same logical
+    /// verdict. Call between cycles, not mid-block.
     ///
     /// # Panics
     ///
@@ -552,13 +723,16 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     /// mutually exclusive) or if `lag == 0`.
     pub fn set_sliding_window(&mut self, lag: usize) {
         assert!(
-            !self.async_decode,
+            !matches!(self.decoder.mode, DecodeMode::Offload { .. }),
             "sliding-window and async decode offload are mutually exclusive"
         );
-        let (graph, _) = self.decode.window_parts(self.code, self.cfg.rounds);
+        let (graph, _) = self
+            .decoder
+            .scratch
+            .window_parts(self.decoder.code, self.cfg.rounds);
         let mut wd = SlidingWindowDecoder::new(lag);
         wd.reserve_for(graph);
-        self.window = Some(WindowState {
+        self.decoder.mode = DecodeMode::Window(WindowState {
             wd,
             events_fed: 0,
             over_budget: false,
@@ -570,56 +744,52 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     /// takes longer stamps its cycle's [`DecodeOutcome::degraded`], counted
     /// by [`EngineStats::degraded_decodes`].
     pub fn set_decode_budget_ns(&mut self, budget: Option<u64>) {
-        self.decode_budget_ns = budget;
+        self.decoder.budget_ns = budget;
     }
 
-    /// Enables decode offload on a pooled engine: a finished block's decode
-    /// runs inside the *next* cycle's round-0 pipeline slot, hidden behind
-    /// that round's synthesis fan-out, so decode latency leaves the cycle's
-    /// critical path. Each [`CycleEngine::run_cycle`] then reports the
-    /// *previous* block's outcome (the first reports an empty
-    /// [`DecodeOutcome::default`]); call
-    /// [`CycleEngine::drain_async_decode`] after the last cycle for the
-    /// final block. The outcome *sequence* is identical to synchronous
-    /// decoding, one cycle later.
+    /// Enables decode offload: a finished block's decode runs inside the
+    /// *next* cycle's round-0 pipeline slot — on a multi-thread pool hidden
+    /// behind that round's synthesis fan-out — so decode latency leaves the
+    /// cycle's critical path. Each [`CycleEngine::run_cycle`] then reports
+    /// the *previous* block's outcome (the first reports an empty
+    /// [`DecodeOutcome::default`]); call [`CycleEngine::drain_async_decode`]
+    /// after the last cycle for the final block. The outcome *sequence* is
+    /// identical to synchronous decoding, one cycle later. Disabling drops
+    /// a block still awaiting its decode; drain it first.
     ///
     /// # Panics
     ///
-    /// Panics when enabling on a non-pooled engine or while sliding-window
-    /// mode is active.
+    /// Panics when enabling while sliding-window mode is active.
     pub fn set_async_decode(&mut self, enabled: bool) {
-        if enabled {
+        let offloading = matches!(self.decoder.mode, DecodeMode::Offload { .. });
+        if enabled && !offloading {
             assert!(
-                self.exec.is_some(),
-                "async decode offload requires a pooled engine (with_pool)"
-            );
-            assert!(
-                self.window.is_none(),
+                !matches!(self.decoder.mode, DecodeMode::Window(_)),
                 "sliding-window and async decode offload are mutually exclusive"
             );
+            self.decoder.mode = DecodeMode::Offload {
+                pending: false,
+                outcome: DecodeOutcome::default(),
+            };
+        } else if !enabled && offloading {
+            self.decoder.mode = DecodeMode::WholeBlock;
         }
-        self.async_decode = enabled;
     }
 
     /// Decodes the block still awaiting its offloaded decode (the last
     /// block of an async run), accounts it into the engine totals, and
     /// returns its outcome. `None` when nothing is pending.
     pub fn drain_async_decode(&mut self) -> Option<DecodeOutcome> {
-        if !self.async_pending {
-            return None;
-        }
-        self.async_pending = false;
-        let mut timer = StageTimer::start();
-        let mut outcome = decode_block_with(self.code, &self.blocks[self.active], &mut self.decode);
-        let (begin, ns) = timer.lap_span_ns();
-        if self.decode_budget_ns.is_some_and(|b| ns > b) {
-            outcome.degraded = true;
-        }
-        self.totals.stage.decode += ns;
-        self.totals.logical_errors += u64::from(outcome.logical_error);
-        self.totals.degraded_decodes += u64::from(outcome.degraded);
-        self.telem
-            .note_span(SpanKind::Decode, begin, ns, self.totals.cycles);
+        let outcome = self
+            .decoder
+            .decode_pending(
+                &self.blocks[self.active],
+                &self.telem,
+                &mut self.totals.stage,
+                self.totals.cycles.saturating_sub(1),
+            )
+            .map(std::mem::take)?;
+        self.totals.note_outcome(&outcome);
         Some(outcome)
     }
 
@@ -648,405 +818,116 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         self.telem.stage_latency()
     }
 
-    /// Advances the fault clock one synthesized round and resolves the
-    /// schedule into the engine's [`RoundFaults`] snapshot. Returns whether
-    /// any fault is active this round. Early-outs with no work when the plan
-    /// is empty — the zero-cost no-fault default.
-    fn resolve_round_faults(&mut self) -> bool {
-        let r = self.synth_round;
-        self.synth_round += 1;
-        if self.plan.is_empty() {
-            return false;
-        }
-        self.plan.resolve_into(r, &mut self.faults);
-        self.faults.is_active()
+    /// Runs one full cycle (block) and returns its outcome.
+    ///
+    /// The cycle is a two-stage pipeline over the engine's two
+    /// [`RoundBuffers`]: round `t+1`'s sharded synthesis into the back
+    /// buffer overlaps the consume stage of round `t` in the front buffer,
+    /// then the buffers ping-pong. The block decodes at the end, as the
+    /// decode mode schedules it.
+    pub fn run_cycle(&mut self) -> CycleResult {
+        self.run_cycle_with(None)
     }
 
-    /// Starts a new block: clears per-block state, keeping all capacity.
-    pub fn begin_cycle(&mut self) {
+    /// [`CycleEngine::run_cycle`] with an optional control-plane task run in
+    /// the round-0 pipeline slot — the one consume stage with nothing to
+    /// consume. A discriminator retrain scheduled there hides behind round
+    /// 0's synthesis fan-out instead of stalling the stream.
+    fn run_cycle_with(&mut self, mut extra: Option<&mut dyn FnMut()>) -> CycleResult {
         self.sim.reset();
         self.sim.reserve_rounds(self.cfg.rounds);
         self.health.monitor.begin_block();
-        if let Some(ws) = self.window.as_mut() {
-            ws.wd.reset();
-            ws.events_fed = 0;
-            ws.over_budget = false;
-        }
+        self.decoder.begin_block();
         self.in_flight = StageNanos::default();
         self.cycle_begin_ns = now_ns();
         self.telem.note_cycle_begin(self.totals.cycles);
+        for t in 0..=self.cfg.rounds {
+            if t < self.cfg.rounds {
+                self.prepare_back_round(t);
+            }
+            self.pipelined_round(t, extra.take());
+            std::mem::swap(&mut self.round, &mut self.exec.back);
+        }
+        self.finish_cycle()
     }
 
-    /// Feeds the rounds committed so far into the sliding window and
-    /// commits every cluster confined behind the lag. No-op in whole-block
-    /// mode. Runs on the calling thread right after a round's
-    /// measured-syndrome commit, so in the pooled pipeline the committed
-    /// decode work overlaps the next round's synthesis fan-out.
-    fn advance_window(&mut self) {
-        if self.window.is_none() {
-            return;
-        }
-        let mut timer = StageTimer::start();
-        let CycleEngine {
-            window,
-            decode,
-            sim,
-            code,
-            cfg,
-            ..
-        } = self;
-        let ws = window.as_mut().expect("window mode");
-        // The round just committed (sim.round() counts committed rounds).
-        let t = sim.round().saturating_sub(1);
-        let events = sim.events();
-        ws.wd.push_events(&events[ws.events_fed..]);
-        ws.events_fed = events.len();
-        let (graph, uf) = decode.window_parts(code, cfg.rounds);
-        ws.wd.advance(t, graph, uf);
-        let (begin, ns) = timer.lap_span_ns();
-        self.in_flight.decode += ns;
-        self.telem.note_span(SpanKind::Decode, begin, ns, t as u64);
-        if self.decode_budget_ns.is_some_and(|b| ns > b) {
-            self.window.as_mut().expect("window mode").over_budget = true;
-        }
-    }
-
-    /// Processes one noisy round: data errors → true parities → multiplexed
-    /// readout synthesis → batched discrimination → measured-syndrome
-    /// commit. Allocation-free once the engine is warm.
-    ///
-    /// Runs serially on the calling thread regardless of how the engine was
-    /// built; per-group synthesis randomness comes from the same
-    /// [`stream_seed`]-derived streams the pooled path shards out, so manual
-    /// stepping and pooled cycles produce identical results.
-    pub fn step_round(&mut self) {
-        let round_arg = self.sim.round() as u64;
-        let mut timer = StageTimer::start();
-        self.sim.apply_data_errors(&mut self.rng);
-        self.sim.true_parities_into(&mut self.round.true_parities);
-        let entropy = self.round_entropy();
-        let fault_active = self.resolve_round_faults();
-        let (prologue_begin, prologue_ns) = timer.lap_span_ns();
-
-        self.round.batch.clear();
-        for g in 0..self.map.n_groups() {
-            let prepared = self.map.prepared_state(g, &self.round.true_parities);
-            let mut rng = StdRng::seed_from_u64(stream_seed(entropy, g as u64));
-            self.synth.synth_into_row_faulted(
-                prepared,
-                fault_active.then_some(&self.faults),
-                &mut self.round.batch,
-                &mut rng,
-            );
-        }
-        let (synth_begin, synth_ns) = timer.lap_span_ns();
-
-        self.disc.discriminate_shot_batch_r_into(
-            &self.round.batch,
-            &mut self.round.features,
-            &mut self.round.states,
-        );
-        let (disc_begin, disc_ns) = timer.lap_span_ns();
-
-        for (a, m) in self.round.measured.iter_mut().enumerate() {
-            let (g, c) = self.map.slot(a);
-            *m = self.round.states[g].qubit(c);
-        }
-        self.sim.record_measured_syndrome(&self.round.measured);
-        observe_round_health(
-            self.disc,
-            &self.map,
-            &mut self.health,
-            &self.round.features,
-            &self.round.measured,
-        );
-        let (commit_begin, commit_ns) = timer.lap_span_ns();
-
-        self.in_flight.syndrome += prologue_ns + commit_ns;
-        self.in_flight.synth += synth_ns;
-        self.in_flight.discriminate += disc_ns;
-        self.totals.rounds += 1;
-        self.telem
-            .note_span(SpanKind::Syndrome, prologue_begin, prologue_ns, round_arg);
-        self.telem
-            .note_span(SpanKind::Synth, synth_begin, synth_ns, round_arg);
-        self.telem
-            .note_span(SpanKind::Discriminate, disc_begin, disc_ns, round_arg);
-        self.telem
-            .note_span(SpanKind::Syndrome, commit_begin, commit_ns, round_arg);
-        self.advance_window();
-    }
-
-    /// Draws the round's entropy word from the master RNG. Every group's
-    /// synthesis stream is derived from this one draw via [`stream_seed`],
+    /// Stage one's serial prologue for round `t`: data errors, true
+    /// parities, and one entropy word from the master RNG. Every group's
+    /// synthesis stream is derived from that one draw via [`stream_seed`],
     /// which is what makes round synthesis shard-order- and
-    /// thread-count-independent by construction.
-    fn round_entropy(&mut self) -> u64 {
-        self.rng.random()
-    }
-
-    /// Terminates the block with a perfect round, swaps it into the inactive
-    /// block home, and decodes it.
-    pub fn finish_cycle(&mut self) -> CycleResult {
-        let cycle_index = self.totals.cycles;
+    /// thread-count-independent by construction. Also resolves the round's
+    /// faults and pre-sizes the back batch's rows for sharded writes.
+    fn prepare_back_round(&mut self, t: usize) {
         let mut timer = StageTimer::start();
-        self.sim.finish_perfect_round();
-        self.active ^= 1;
-        // write_block reuses the target's buffers — no block reallocation.
-        self.sim.write_block(&mut self.blocks[self.active]);
-        let (write_begin, write_ns) = timer.lap_span_ns();
-        self.in_flight.syndrome += write_ns;
-        self.telem
-            .note_span(SpanKind::Syndrome, write_begin, write_ns, cycle_index);
-        let outcome = self.decode_finished_block(cycle_index);
-        self.telem.note_span(
-            SpanKind::Cycle,
-            self.cycle_begin_ns,
-            now_ns().saturating_sub(self.cycle_begin_ns),
-            cycle_index,
-        );
-
-        let stats = CycleStats {
-            rounds: self.sim.round(),
-            n_events: outcome.n_events,
-            stage: self.in_flight,
-            health: self.health.monitor.status(),
-        };
-        let transitions = self.health.monitor.transitions();
-        let transitions_delta = transitions.saturating_sub(self.totals.health_transitions);
-        self.totals.cycles += 1;
-        self.totals.logical_errors += u64::from(outcome.logical_error);
-        self.totals.degraded_decodes += u64::from(outcome.degraded);
-        self.totals.health_transitions = transitions;
-        self.totals.stage.add(&self.in_flight);
-        self.telem
-            .observe_cycle(cycle_index, &stats, &outcome, transitions_delta);
-        if self.telem.enabled() {
-            self.totals.latency = self.telem.stage_latency();
+        // The fault clock counts synthesized rounds; an empty plan — the
+        // zero-cost no-fault default — resolves nothing.
+        if !self.plan.is_empty() {
+            self.plan.resolve_into(self.synth_round, &mut self.faults);
         }
-        self.totals.trace_dropped = self.telem.dropped_events();
-        CycleResult { outcome, stats }
-    }
-
-    /// Decodes the block just swapped into the active home, according to
-    /// the engine's decode mode: async offload defers to the next cycle's
-    /// round-0 slot (returning the previous block's outcome), sliding
-    /// window resolves the deferred remainder, and whole-block mode runs
-    /// the standard dispatch. Stamps [`DecodeOutcome::degraded`] on budget
-    /// overruns.
-    fn decode_finished_block(&mut self, cycle_index: u64) -> DecodeOutcome {
-        if self.async_decode {
-            // The block's decode runs inside the next cycle's round-0
-            // pipeline slot; hand back the previous block's outcome now.
-            let prev = if self.async_pending {
-                // The slot never ran (manual round stepping): decode the
-                // previous block — still intact in the other home —
-                // synchronously so it is not lost.
-                let mut timer = StageTimer::start();
-                let mut out =
-                    decode_block_with(self.code, &self.blocks[self.active ^ 1], &mut self.decode);
-                let (begin, ns) = timer.lap_span_ns();
-                self.in_flight.decode += ns;
-                if self.decode_budget_ns.is_some_and(|b| ns > b) {
-                    out.degraded = true;
-                }
-                self.telem
-                    .note_span(SpanKind::Decode, begin, ns, cycle_index);
-                out
-            } else {
-                self.async_outcome
-            };
-            self.async_pending = true;
-            return prev;
-        }
-        let mut timer = StageTimer::start();
-        let mut outcome = if self.window.is_some() {
-            self.finish_window_block()
-        } else {
-            decode_block_with(self.code, &self.blocks[self.active], &mut self.decode)
-        };
-        let (decode_begin, decode_ns) = timer.lap_span_ns();
-        self.in_flight.decode += decode_ns;
-        self.telem
-            .note_span(SpanKind::Decode, decode_begin, decode_ns, cycle_index);
-        if self.decode_budget_ns.is_some_and(|b| decode_ns > b) {
-            outcome.degraded = true;
-        }
-        if self.window.as_ref().is_some_and(|ws| ws.over_budget) {
-            outcome.degraded = true;
-        }
-        outcome
-    }
-
-    /// Ends a sliding-window block: feeds the terminating perfect round's
-    /// events, resolves whatever the window deferred, and combines with the
-    /// west parity committed during the stream. When the stream committed
-    /// nothing ahead of the block end, the whole block goes through the
-    /// standard dispatch instead — bit-identical to whole-block mode on
-    /// quiet or short streams.
-    fn finish_window_block(&mut self) -> DecodeOutcome {
-        let CycleEngine {
-            window,
-            decode,
-            sim,
-            code,
-            cfg,
-            blocks,
-            active,
-            ..
-        } = self;
-        let ws = window.as_mut().expect("window mode");
-        let events = sim.events();
-        ws.wd.push_events(&events[ws.events_fed..]);
-        ws.events_fed = events.len();
-        let block = &blocks[*active];
-        if ws.wd.committed_clusters() == 0 {
-            ws.wd.reset();
-            ws.events_fed = 0;
-            return decode_block_with(code, block, decode);
-        }
-        let (graph, uf) = decode.window_parts(code, cfg.rounds);
-        let west_matches = ws.wd.finish(graph, uf);
-        let n_events = ws.wd.n_events();
-        debug_assert_eq!(n_events, block.events.len());
-        let error_parity = block.west_column_error_parity(code);
-        ws.wd.reset();
-        ws.events_fed = 0;
-        DecodeOutcome {
-            n_events,
-            west_matches,
-            logical_error: error_parity != (west_matches % 2 == 1),
-            degraded: false,
-        }
-    }
-
-    /// Runs one full cycle (block) and returns its outcome.
-    ///
-    /// On a [`ParallelCycleEngine`] the cycle executes the two-stage
-    /// pipeline: round `t+1`'s sharded synthesis overlaps round `t`'s
-    /// discriminate → syndrome stage, with the block decode at the end. The
-    /// result is bit-identical to the serial engine's.
-    pub fn run_cycle(&mut self) -> CycleResult {
-        if self.exec.is_some() {
-            return self.run_cycle_pooled();
-        }
-        self.begin_cycle();
-        for _ in 0..self.cfg.rounds {
-            self.step_round();
-        }
-        self.finish_cycle()
-    }
-
-    /// The pooled cycle: a software pipeline over the engine's two
-    /// [`RoundBuffers`]. Each iteration prepares round `t+1` serially (data
-    /// errors + parities + entropy, exactly the serial path's master-RNG
-    /// draws), then overlaps its sharded synthesis into the *back* buffer
-    /// with the consumption (discriminate + syndrome commit) of the *front*
-    /// buffer, and ping-pongs the buffers.
-    fn run_cycle_pooled(&mut self) -> CycleResult {
-        self.run_cycle_pooled_ext(None)
-    }
-
-    /// [`CycleEngine::run_cycle_pooled`] with an optional control-plane task
-    /// overlapped into the round-0 pipeline slot — the one consume stage
-    /// with nothing to consume. While every group's round-0 synthesis fans
-    /// out across the pool, `extra` runs on the calling thread; a
-    /// discriminator retrain scheduled here hides behind synthesis instead
-    /// of stalling the stream.
-    fn run_cycle_pooled_ext(&mut self, extra: Option<&mut dyn FnMut()>) -> CycleResult {
-        self.begin_cycle();
-        // Round 0 has nothing to consume yet: plain sharded synthesis (plus
-        // the overlapped extra task, when present).
-        self.prepare_back_round();
-        self.pipelined_round(false, extra);
-        self.swap_round_buffers();
-        for _ in 1..self.cfg.rounds {
-            self.prepare_back_round();
-            self.pipelined_round(true, None);
-            self.swap_round_buffers();
-        }
-        self.consume_front_round();
-        self.finish_cycle()
-    }
-
-    /// Stage-one prologue (serial): advances the master RNG exactly as
-    /// [`CycleEngine::step_round`] does — data errors, true parities, one
-    /// entropy word — derives the per-group stream seeds, and pre-sizes the
-    /// back batch's rows for sharded writes.
-    fn prepare_back_round(&mut self) {
-        let mut timer = StageTimer::start();
+        self.synth_round += 1;
+        let back = &mut self.exec.back;
         self.sim.apply_data_errors(&mut self.rng);
-        self.sim.true_parities_into(
-            &mut self
-                .exec
-                .as_mut()
-                .expect("pooled engine")
-                .back
-                .true_parities,
-        );
-        let entropy = self.round_entropy();
-        self.resolve_round_faults();
-        let n_groups = self.map.n_groups();
-        let exec = self.exec.as_mut().expect("pooled engine");
-        for (g, s) in exec.seeds.iter_mut().enumerate() {
+        self.sim.true_parities_into(&mut back.true_parities);
+        let entropy: u64 = self.rng.random();
+        for (g, s) in self.exec.seeds.iter_mut().enumerate() {
             *s = stream_seed(entropy, g as u64);
         }
-        exec.back.batch.clear();
-        for _ in 0..n_groups {
-            let _ = exec.back.batch.push_empty_row();
+        back.batch.clear();
+        for _ in 0..self.map.n_groups() {
+            let _ = back.batch.push_empty_row();
         }
-        let (begin, prologue_ns) = timer.lap_span_ns();
-        self.in_flight.syndrome += prologue_ns;
+        let (begin, ns) = timer.lap_span_ns();
+        self.in_flight.syndrome += ns;
         self.telem
-            .note_span(SpanKind::Syndrome, begin, prologue_ns, self.synth_round);
+            .note_span(SpanKind::Syndrome, begin, ns, t as u64);
     }
 
-    /// One pooled pipeline step: fans the back round's per-group synthesis
-    /// out across the pool while (when `consume_front`) discriminating the
-    /// front round and committing its measured syndrome on the calling
-    /// thread. Allocation-free once warm.
-    fn pipelined_round(&mut self, consume_front: bool, extra: Option<&mut dyn FnMut()>) {
+    /// Pipeline step `t` of a cycle: fans round `t`'s per-group synthesis
+    /// (when `t < rounds`) out across the pool while the calling thread runs
+    /// the consume stage of round `t - 1` — or, at `t == 0`, the idle slot:
+    /// `extra` and the previous block's offloaded decode. Synthesis is
+    /// charged the fan-out's wall time minus the consume stage: its exposed
+    /// latency. Allocation-free once warm.
+    fn pipelined_round(&mut self, t: usize, extra: Option<&mut dyn FnMut()>) {
+        let n_produce = if t < self.cfg.rounds {
+            self.map.n_groups()
+        } else {
+            0
+        };
+        let prev_cycle = self.totals.cycles.saturating_sub(1);
         let mut wall_timer = StageTimer::start();
-        let round_arg = self.sim.round() as u64;
-        let mut slot_decode_ns = 0u64;
         let CycleEngine {
             disc,
             map,
             sim,
             round: front,
             exec,
+            blocks,
+            active,
+            decoder,
             faults,
             health,
             telem,
-            code,
-            blocks,
-            active,
-            decode,
-            decode_budget_ns,
-            async_pending,
-            async_outcome,
             ..
         } = self;
-        let disc: &D = disc;
-        let map: &AncillaMap = map;
-        let faults: &RoundFaults = faults;
-        let exec = exec.as_mut().expect("pooled engine");
-        let pool = exec.pool;
-        let RoundBuffers {
-            batch: back_batch,
-            true_parities: back_parities,
-            ..
-        } = &mut exec.back;
-        let n_samples = back_batch.n_samples();
-        let row_width = back_batch.row_width();
-        let synth_tiles = Tiles::new(&mut exec.synths);
-        let row_tiles = Tiles::chunks(back_batch.as_mut_slice(), row_width);
-        let seeds: &[u64] = &exec.seeds;
-        let parities: &[bool] = back_parities;
+        let (disc, map, faults, telem): (&D, &AncillaMap, &RoundFaults, &EngineTelemetry) =
+            (*disc, map, faults, telem);
+        let PoolState {
+            pool,
+            synths,
+            seeds,
+            back,
+        } = exec;
+        let n_samples = back.batch.n_samples();
+        let row_width = back.batch.row_width();
+        let synth_tiles = Tiles::new(synths);
+        let row_tiles = Tiles::chunks(back.batch.as_mut_slice(), row_width);
+        let seeds: &[u64] = seeds;
+        let parities: &[bool] = &back.true_parities;
         let round_faults = faults.is_active().then_some(faults);
 
-        let (disc_ns, syndrome_ns) = pool.overlap(
-            map.n_groups(),
+        let (stage, consume_ns) = pool.overlap(
+            n_produce,
             |g| {
                 // SAFETY: the pool claims each index exactly once per
                 // fan-out, so shard `g`'s synthesizer and batch row have no
@@ -1064,106 +945,82 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
                 );
             },
             || {
-                if !consume_front {
-                    // The idle consume slot: run the overlapped
-                    // control-plane task (e.g. a discriminator retrain)
-                    // behind round 0's synthesis fan-out.
+                let mut timer = StageTimer::start();
+                let mut stage = StageNanos::default();
+                if t == 0 {
                     if let Some(f) = extra {
                         f();
                     }
-                    if *async_pending {
-                        // Async decode offload: the previous cycle's block
-                        // (stable in the active home until the next
-                        // finish-cycle swap) decodes here, hidden behind
-                        // round 0's synthesis fan-out.
-                        let mut timer = StageTimer::start();
-                        let mut out = decode_block_with(code, &blocks[*active], decode);
-                        let (begin, ns) = timer.lap_span_ns();
-                        if decode_budget_ns.is_some_and(|b| ns > b) {
-                            out.degraded = true;
-                        }
-                        telem.note_span(SpanKind::Decode, begin, ns, round_arg);
-                        *async_outcome = out;
-                        *async_pending = false;
-                        slot_decode_ns = ns;
-                    }
-                    return (0, 0);
+                    // The previous block stays in the active home until
+                    // this cycle's finish swaps homes.
+                    decoder.decode_pending(&blocks[*active], telem, &mut stage, prev_cycle);
+                } else {
+                    stage = consume_round(disc, map, front, sim, health, decoder, telem);
                 }
-                let mut timer = StageTimer::start();
-                disc.discriminate_shot_batch_r_into(
-                    &front.batch,
-                    &mut front.features,
-                    &mut front.states,
-                );
-                let (disc_begin, disc_ns) = timer.lap_span_ns();
-                for (a, m) in front.measured.iter_mut().enumerate() {
-                    let (g, c) = map.slot(a);
-                    *m = front.states[g].qubit(c);
-                }
-                sim.record_measured_syndrome(&front.measured);
-                observe_round_health(disc, map, health, &front.features, &front.measured);
-                let (commit_begin, commit_ns) = timer.lap_span_ns();
-                telem.note_span(SpanKind::Discriminate, disc_begin, disc_ns, round_arg);
-                telem.note_span(SpanKind::Syndrome, commit_begin, commit_ns, round_arg);
-                (disc_ns, commit_ns)
+                (stage, timer.lap_ns())
             },
         );
 
-        // The synth span covers the whole overlap window: the fan-out's
-        // exact per-worker layout lives on the pool's worker tracks.
         let (wall_begin, wall) = wall_timer.lap_span_ns();
-        self.telem
-            .note_span(SpanKind::Synth, wall_begin, wall, round_arg);
-        self.in_flight.discriminate += disc_ns;
-        self.in_flight.syndrome += syndrome_ns;
-        self.in_flight.decode += slot_decode_ns;
-        // Pipeline accounting: the synth stage is charged only the wall time
-        // it was *not* hidden behind the consume stage (front-round
-        // discrimination + commit, plus any offloaded decode in the round-0
-        // slot) — its exposed latency.
-        self.in_flight.synth += wall.saturating_sub(disc_ns + syndrome_ns + slot_decode_ns);
-        if consume_front {
+        self.in_flight.add(&stage);
+        if n_produce > 0 {
+            // The synth span covers the whole overlap window: the fan-out's
+            // exact per-worker layout lives on the pool's worker tracks.
+            self.telem
+                .note_span(SpanKind::Synth, wall_begin, wall, t as u64);
+            self.in_flight.synth += wall.saturating_sub(consume_ns);
+        }
+        if t > 0 {
             self.totals.rounds += 1;
-            self.advance_window();
         }
     }
 
-    /// Drains the front buffer (the pipeline's epilogue): batched
-    /// discrimination plus measured-syndrome commit of the last round.
-    fn consume_front_round(&mut self) {
-        let round_arg = self.sim.round() as u64;
+    /// Terminates the block with a perfect round, swaps it into the inactive
+    /// block home, decodes it as the decode mode schedules, and folds the
+    /// cycle into the totals.
+    fn finish_cycle(&mut self) -> CycleResult {
+        let cycle_index = self.totals.cycles;
         let mut timer = StageTimer::start();
-        let RoundBuffers {
-            batch,
-            features,
-            states,
-            measured,
-            ..
-        } = &mut self.round;
-        self.disc
-            .discriminate_shot_batch_r_into(batch, features, states);
-        let (disc_begin, disc_ns) = timer.lap_span_ns();
-        self.in_flight.discriminate += disc_ns;
-        for (a, m) in measured.iter_mut().enumerate() {
-            let (g, c) = self.map.slot(a);
-            *m = states[g].qubit(c);
-        }
-        self.sim.record_measured_syndrome(measured);
-        observe_round_health(self.disc, &self.map, &mut self.health, features, measured);
-        let (commit_begin, commit_ns) = timer.lap_span_ns();
-        self.in_flight.syndrome += commit_ns;
-        self.totals.rounds += 1;
+        self.sim.finish_perfect_round();
+        self.active ^= 1;
+        // write_block reuses the target's buffers — no block reallocation.
+        self.sim.write_block(&mut self.blocks[self.active]);
+        let (write_begin, write_ns) = timer.lap_span_ns();
+        self.in_flight.syndrome += write_ns;
         self.telem
-            .note_span(SpanKind::Discriminate, disc_begin, disc_ns, round_arg);
-        self.telem
-            .note_span(SpanKind::Syndrome, commit_begin, commit_ns, round_arg);
-        self.advance_window();
-    }
+            .note_span(SpanKind::Syndrome, write_begin, write_ns, cycle_index);
+        let outcome = self.decoder.finish_block(
+            &self.blocks[self.active],
+            &self.telem,
+            &mut self.in_flight,
+            cycle_index,
+        );
+        self.telem.note_span(
+            SpanKind::Cycle,
+            self.cycle_begin_ns,
+            now_ns().saturating_sub(self.cycle_begin_ns),
+            cycle_index,
+        );
 
-    /// Ping-pongs the freshly synthesized back buffer into the front slot.
-    fn swap_round_buffers(&mut self) {
-        let exec = self.exec.as_mut().expect("pooled engine");
-        std::mem::swap(&mut self.round, &mut exec.back);
+        let stats = CycleStats {
+            rounds: self.sim.round(),
+            n_events: outcome.n_events,
+            stage: self.in_flight,
+            health: self.health.monitor.status(),
+        };
+        let transitions = self.health.monitor.transitions();
+        let transitions_delta = transitions.saturating_sub(self.totals.health_transitions);
+        self.totals.cycles += 1;
+        self.totals.note_outcome(&outcome);
+        self.totals.health_transitions = transitions;
+        self.totals.stage.add(&self.in_flight);
+        self.telem
+            .observe_cycle(cycle_index, &stats, &outcome, transitions_delta);
+        if self.telem.enabled() {
+            self.totals.latency = self.telem.stage_latency();
+        }
+        self.totals.trace_dropped = self.telem.dropped_events();
+        CycleResult { outcome, stats }
     }
 
     /// Blocking API: runs `n` cycles back to back.
@@ -1184,9 +1041,9 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R> + Recalibrate> CycleEngi
     /// discriminator has harvested enough windows
     /// ([`Recalibrate::recal_ready`]), and the hot-swap cooldown has
     /// elapsed, the cycle retrains and atomically hot-swaps the
-    /// discriminator's calibration. On a pooled engine the retrain is
-    /// overlapped into the round-0 pipeline slot, hidden behind the first
-    /// round's synthesis fan-out; serially it runs before the cycle.
+    /// discriminator's calibration. The retrain runs in the round-0
+    /// pipeline slot, before any round of the cycle is discriminated; on a
+    /// multi-thread pool it hides behind round 0's synthesis fan-out.
     ///
     /// A successful swap bumps [`EngineStats::hot_swaps`] and re-baselines
     /// the health monitor (the new calibration's feature scale invalidates
@@ -1203,17 +1060,8 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R> + Recalibrate> CycleEngi
         }
         let disc = self.disc;
         let mut swapped = None;
-        let result = if self.exec.is_some() {
-            let mut retrain = || swapped = disc.recalibrate();
-            self.run_cycle_pooled_ext(Some(&mut retrain))
-        } else {
-            swapped = disc.recalibrate();
-            self.begin_cycle();
-            for _ in 0..self.cfg.rounds {
-                self.step_round();
-            }
-            self.finish_cycle()
-        };
+        let mut retrain = || swapped = disc.recalibrate();
+        let result = self.run_cycle_with(Some(&mut retrain));
         // The cycle that hosted the retrain attempt (just finished).
         let cycle_index = self.totals.cycles.saturating_sub(1);
         if swapped.is_some() {
@@ -1233,6 +1081,40 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R> + Recalibrate> CycleEngi
     pub fn run_cycles_adaptive(&mut self, n: usize) -> Vec<CycleResult> {
         (0..n).map(|_| self.run_cycle_adaptive()).collect()
     }
+}
+
+/// The consume stage of one round: batched discrimination of `front`,
+/// measured-syndrome commit, the health observation, and the sliding-window
+/// advance. Returns the stage time it spent.
+fn consume_round<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
+    disc: &D,
+    map: &AncillaMap,
+    front: &mut RoundBuffers<R>,
+    sim: &mut SyndromeSim<'_>,
+    health: &mut HealthState,
+    decoder: &mut BlockDecoder<'_>,
+    telem: &EngineTelemetry,
+) -> StageNanos {
+    let round = sim.round() as u64;
+    let mut timer = StageTimer::start();
+    disc.discriminate_shot_batch_r_into(&front.batch, &mut front.features, &mut front.states);
+    let (disc_begin, disc_ns) = timer.lap_span_ns();
+    for (a, m) in front.measured.iter_mut().enumerate() {
+        let (g, c) = map.slot(a);
+        *m = front.states[g].qubit(c);
+    }
+    sim.record_measured_syndrome(&front.measured);
+    observe_round_health(disc, map, health, &front.features, &front.measured);
+    let (commit_begin, commit_ns) = timer.lap_span_ns();
+    telem.note_span(SpanKind::Discriminate, disc_begin, disc_ns, round);
+    telem.note_span(SpanKind::Syndrome, commit_begin, commit_ns, round);
+    let mut stage = StageNanos {
+        discriminate: disc_ns,
+        syndrome: commit_ns,
+        ..StageNanos::default()
+    };
+    decoder.advance_window(sim, telem, &mut stage);
+    stage
 }
 
 /// Feeds one consumed round into the engine's health state: widens each
@@ -1284,7 +1166,7 @@ impl<R: Real, D: ?Sized> std::fmt::Debug for CycleEngine<'_, R, D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CycleEngine")
             .field("cfg", &self.cfg)
-            .field("distance", &self.code.distance())
+            .field("distance", &self.decoder.code.distance())
             .field("groups", &self.map.n_groups())
             .field("totals", &self.totals)
             .finish_non_exhaustive()

@@ -19,13 +19,13 @@
 //!
 //! * [`CycleEngine`] — the engine: double-buffered blocks, reusable
 //!   [`engine::RoundBuffers`], a blocking [`CycleEngine::run_cycles`] API and a
-//!   pull-based [`CycleEngine::cycles`] iterator with per-stage timings;
-//! * [`ParallelCycleEngine`] — the same engine on a
-//!   [`herqles_exec::ShardPool`] ([`CycleEngine::with_pool`]): feedline
-//!   groups become shards, each owning its [`RoundSynth`], and round `t+1`'s
-//!   synthesis overlaps round `t`'s discriminate → syndrome → decode.
-//!   Bit-identical to the serial engine at every pool size, zero-allocation
-//!   once warm;
+//!   pull-based [`CycleEngine::cycles`] iterator with per-stage timings.
+//!   Every engine runs one round pipeline on a [`herqles_exec::ShardPool`]
+//!   (a 1-thread inline pool for [`CycleEngine::new`], the caller's for
+//!   [`CycleEngine::with_pool`]): feedline groups become shards, each owning
+//!   its [`RoundSynth`], and round `t+1`'s synthesis overlaps round `t`'s
+//!   discriminate → syndrome → window-decode stage. Bit-identical at every
+//!   pool size, zero-allocation once warm;
 //! * [`RoundSynth`] — allocation-free per-round multiplexed readout
 //!   synthesis straight into [`readout_sim::ShotBatch`] rows;
 //! * [`AncillaMap`] — tiling of the code's ancillas onto
@@ -64,8 +64,7 @@ pub mod synth;
 pub mod telemetry;
 
 pub use engine::{
-    CycleConfig, CycleEngine, CycleResult, CycleStats, Cycles, EngineStats, ParallelCycleEngine,
-    StageNanos,
+    CycleConfig, CycleEngine, CycleResult, CycleStats, Cycles, EngineStats, StageNanos,
 };
 pub use health::{HealthConfig, HealthMonitor, HealthStatus};
 pub use herqles_exec::{stream_seed, PoolTelemetry, ShardPool};

@@ -1,14 +1,14 @@
-//! Steady-state allocation check: once the engine is warm, the per-round
-//! path (data errors → synthesis → discrimination → syndrome commit) must
-//! perform **zero** heap allocations. A counting global allocator wraps the
-//! system allocator; this file holds exactly one test so no parallel test
-//! pollutes the counter.
+//! Steady-state allocation check: once the engine is warm, a whole cycle
+//! (data errors → synthesis → discrimination → syndrome commit → decode)
+//! must perform **zero** heap allocations. A counting global allocator wraps
+//! the system allocator; this file holds exactly one test so no parallel
+//! test pollutes the counter.
 //!
 //! The counter is process-global, and the libtest harness occasionally
 //! performs a stray allocation of its own during a probe window (observed at
 //! a few-percent rate even before the engine existed in its current form).
 //! Every probe therefore takes the **minimum over a few attempts**: harness
-//! noise is transient, while a genuine leak on the engine's round path
+//! noise is transient, while a genuine leak on the engine's cycle path
 //! allocates on *every* attempt and still fails the pin deterministically.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,65 +67,20 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     let chip = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(3);
     let disc = train_mf_discriminator(&chip, 8, 1234);
-    // 20 rounds per block: headroom for one warm-up round plus three
-    // 5-round probe attempts inside a single (event-capacity-reserved) block.
+    // 20 rounds per block: every probed cycle runs 21 pipeline steps.
     let cfg = CycleConfig {
         rounds: 20,
         data_error_prob: 0.02,
         seed: 3,
     };
-    let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
 
-    // Warm-up: one full cycle sizes every buffer (the event store is
-    // pre-reserved to its hard upper bound, so later rounds cannot outgrow
-    // it), then one round of the next block warms the cycle-start path.
-    let _ = engine.run_cycle();
-    engine.begin_cycle();
-    engine.step_round();
-
-    let serial_rounds = min_allocs_over(3, || {
-        for _ in 0..5 {
-            engine.step_round();
-        }
-    });
-    assert_eq!(
-        serial_rounds, 0,
-        "steady-state rounds must not touch the heap"
-    );
-
-    // The engine still works after the probe (finish decodes the block).
-    let result = engine.finish_cycle();
-    assert_eq!(result.stats.rounds, 16);
-
-    // The single-precision engine carries the same guarantee: a warm
-    // `CycleEngine<f32>` round loop (f32 synthesis → f32 fused GEMM →
-    // thresholds → syndrome commit) must not touch the heap either. Probed
-    // in this same test because the counting allocator is process-global.
-    let disc32 = train_mf_discriminator_typed(&chip, 8, 1234);
-    let mut engine32 = CycleEngine::<f32, _>::new(cfg, &chip, &code, &disc32);
-    let _ = engine32.run_cycle();
-    engine32.begin_cycle();
-    engine32.step_round();
-
-    let f32_rounds = min_allocs_over(3, || {
-        for _ in 0..5 {
-            engine32.step_round();
-        }
-    });
-    assert_eq!(
-        f32_rounds, 0,
-        "steady-state f32 rounds must not touch the heap"
-    );
-    let result = engine32.finish_cycle();
-    assert_eq!(result.stats.rounds, 16);
-
-    // Whole warm cycles are now pinned at a hard **zero**: with the
-    // decoder's matching scratch owned by the engine (`DecodeScratch`,
-    // pre-sized at construction), a steady-state `run_cycle` — begin,
-    // every round, block write-out, exact-matching decode — must not touch
-    // the heap at all. This is strictly stronger than the previous
-    // pooled-vs-serial *comparison*, which tolerated the decoder's own
-    // per-cycle allocations on both sides.
+    // Whole warm cycles are pinned at a hard **zero**: with the decoder's
+    // matching scratch owned by the engine (`DecodeScratch`, pre-sized at
+    // construction), a steady-state `run_cycle` — every pipeline step on the
+    // inline 1-thread pool, block write-out, exact-matching decode — must
+    // not touch the heap at all. Two warm-up cycles size every buffer, both
+    // ping-ponged round buffers included (the event store is pre-reserved
+    // to its hard upper bound, so later rounds cannot outgrow it).
     let mut serial = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
     let _ = serial.run_cycle();
     let _ = serial.run_cycle();
@@ -135,6 +90,22 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     assert_eq!(
         serial_cycle_allocs, 0,
         "warm whole serial cycles must not touch the heap"
+    );
+
+    // The single-precision engine carries the same guarantee: a warm
+    // `CycleEngine<f32>` cycle (f32 synthesis → f32 fused GEMM → thresholds
+    // → syndrome commit → decode) must not touch the heap either. Probed in
+    // this same test because the counting allocator is process-global.
+    let disc32 = train_mf_discriminator_typed(&chip, 8, 1234);
+    let mut engine32 = CycleEngine::<f32, _>::new(cfg, &chip, &code, &disc32);
+    let _ = engine32.run_cycle();
+    let _ = engine32.run_cycle();
+    let f32_cycle_allocs = min_allocs_over(3, || {
+        let _ = engine32.run_cycle();
+    });
+    assert_eq!(
+        f32_cycle_allocs, 0,
+        "warm whole f32 cycles must not touch the heap"
     );
 
     let pool = ShardPool::new(3);
@@ -414,20 +385,27 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         "warm pooled sliding-window cycles must not touch the heap"
     );
 
-    // Async decode offload: a warm pooled cycle that decodes the previous
-    // block inside its round-0 pipeline slot (alongside the synthesis
-    // fan-out) must be allocation-free too.
-    let mut offloaded = CycleEngine::with_pool(dense_cfg, &chip, &code, disc.as_ref(), &pool);
-    offloaded.set_async_decode(true);
-    let _ = offloaded.run_cycle();
-    let _ = offloaded.run_cycle();
-    let offloaded_cycle_allocs = min_allocs_over(3, || {
-        let _ = offloaded.run_cycle();
-    });
-    assert_eq!(
-        offloaded_cycle_allocs, 0,
-        "warm async-offload cycles must not touch the heap"
-    );
-    let drained = offloaded.drain_async_decode().expect("final block pending");
-    assert!(drained.n_events > 0);
+    // Async decode offload: a warm cycle that decodes the previous block
+    // inside its round-0 pipeline slot (alongside the synthesis fan-out)
+    // must be allocation-free too. Serial and pooled.
+    let mut offloaded = CycleEngine::new(dense_cfg, &chip, &code, disc.as_ref());
+    let mut offloaded_pooled =
+        CycleEngine::with_pool(dense_cfg, &chip, &code, disc.as_ref(), &pool);
+    for (engine, name) in [
+        (&mut offloaded, "serial"),
+        (&mut offloaded_pooled, "pooled"),
+    ] {
+        engine.set_async_decode(true);
+        let _ = engine.run_cycle();
+        let _ = engine.run_cycle();
+        let allocs = min_allocs_over(3, || {
+            let _ = engine.run_cycle();
+        });
+        assert_eq!(
+            allocs, 0,
+            "warm {name} async-offload cycles must not touch the heap"
+        );
+        let drained = engine.drain_async_decode().expect("final block pending");
+        assert!(drained.n_events > 0);
+    }
 }

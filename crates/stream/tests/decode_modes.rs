@@ -102,28 +102,32 @@ fn async_offload_outcome_sequence_matches_serial_shifted_by_one() {
     };
     let reference = reference_outcomes(cfg, &chip, &code, disc.as_ref());
 
+    // Offload on the inline 1-thread pool and on a 3-thread pool.
     let pool = ShardPool::new(3);
-    let mut engine = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
-    engine.set_async_decode(true);
-    let mut shifted = Vec::new();
-    for _ in 0..CYCLES {
-        shifted.push(engine.run_cycle().outcome);
-    }
-    let drained = engine.drain_async_decode().expect("final block pending");
-    assert_eq!(engine.drain_async_decode(), None, "drain must be one-shot");
+    let serial = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+    let pooled = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+    for (name, mut engine) in [("serial", serial), ("pooled", pooled)] {
+        engine.set_async_decode(true);
+        let mut shifted = Vec::new();
+        for _ in 0..CYCLES {
+            shifted.push(engine.run_cycle().outcome);
+        }
+        let drained = engine.drain_async_decode().expect("final block pending");
+        assert_eq!(engine.drain_async_decode(), None, "drain must be one-shot");
 
-    // Cycle 0 reports the empty placeholder; cycle k reports block k-1.
-    assert_eq!(shifted[0], DecodeOutcome::default());
-    assert_eq!(
-        &shifted[1..],
-        &reference[..CYCLES - 1],
-        "offloaded outcomes diverged from the synchronous sequence"
-    );
-    assert_eq!(
-        drained,
-        reference[CYCLES - 1],
-        "drained final outcome diverged"
-    );
+        // Cycle 0 reports the empty placeholder; cycle k reports block k-1.
+        assert_eq!(shifted[0], DecodeOutcome::default());
+        assert_eq!(
+            &shifted[1..],
+            &reference[..CYCLES - 1],
+            "{name}: offloaded outcomes diverged from the synchronous sequence"
+        );
+        assert_eq!(
+            drained,
+            reference[CYCLES - 1],
+            "{name}: drained final outcome diverged"
+        );
+    }
 }
 
 #[test]

@@ -1,14 +1,15 @@
-//! Thread-count independence of the [`ParallelCycleEngine`]: for any pool
+//! Thread-count independence of [`CycleEngine::with_pool`]: for any pool
 //! size the pooled engine must produce **bit-identical** blocks, decode
-//! outcomes and aggregate statistics to the serial [`CycleEngine`] — the
-//! acceptance pin of the `herqles-exec` integration. Any divergence in the
-//! per-group RNG stream derivation, shard scheduling leaking into results,
-//! or pipeline reordering of the syndrome commits fails these tests.
+//! outcomes and aggregate statistics to [`CycleEngine::new`] (the inline
+//! 1-thread pool) — the acceptance pin of the `herqles-exec` integration.
+//! Any divergence in the per-group RNG stream derivation, shard scheduling
+//! leaking into results, or pipeline reordering of the syndrome commits
+//! fails these tests.
 
 use herqles_core::PrecisionDiscriminator;
 use herqles_stream::{
     train_mf_discriminator, train_mf_discriminator_typed, CycleConfig, CycleEngine, DriftEvent,
-    FaultPlan, ParallelCycleEngine, Real, ShardPool,
+    FaultPlan, Real, ShardPool,
 };
 use readout_sim::trace::IqPoint;
 use readout_sim::ChipConfig;
@@ -50,7 +51,7 @@ fn assert_pooled_matches_serial_under_plan<R, D>(
 
     for threads in THREAD_COUNTS {
         let pool = ShardPool::new(threads);
-        let mut pooled = ParallelCycleEngine::<R, _>::with_pool(cfg, chip, code, disc, &pool);
+        let mut pooled = CycleEngine::<R, _>::with_pool(cfg, chip, code, disc, &pool);
         pooled.set_fault_plan(plan.clone());
         for (i, (ref_block, ref_outcome)) in reference.iter().enumerate() {
             let r = pooled.run_cycle();
@@ -184,34 +185,6 @@ fn pooled_engine_is_bit_identical_to_serial_under_active_faults_f32() {
         },
     ]);
     assert_pooled_matches_serial_under_plan::<f32, _>(cfg, &chip, &code, &disc, 4, &plan);
-}
-
-#[test]
-fn manual_stepping_matches_pooled_cycles() {
-    // step_round stays a serial API, but its per-group RNG streams are the
-    // same ones the pooled path shards out — so hand-stepped cycles must
-    // equal pooled run_cycle output exactly.
-    let chip = ChipConfig::two_qubit_test();
-    let code = RotatedSurfaceCode::new(3);
-    let disc = train_mf_discriminator(&chip, 10, 7);
-    let cfg = CycleConfig {
-        rounds: 3,
-        data_error_prob: 0.02,
-        seed: 5,
-    };
-    let pool = ShardPool::new(4);
-    let mut pooled = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
-    let mut stepped = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
-    for _ in 0..3 {
-        let pooled_result = pooled.run_cycle();
-        stepped.begin_cycle();
-        for _ in 0..cfg.rounds {
-            stepped.step_round();
-        }
-        let stepped_result = stepped.finish_cycle();
-        assert_eq!(pooled_result.outcome, stepped_result.outcome);
-        assert_eq!(pooled.last_block(), stepped.last_block());
-    }
 }
 
 #[test]

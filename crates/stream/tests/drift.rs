@@ -162,3 +162,44 @@ fn fault_plan_validation_rejects_out_of_range_channels() {
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("channel 7"), "unexpected panic message: {msg}");
 }
+
+#[test]
+fn emptying_the_fault_plan_restores_nominal_synthesis() {
+    // Faults ride only the per-group synthesis streams, never the master
+    // RNG, so once the plan is emptied the stream must be bit-identical to
+    // one that never had a plan. A fault snapshot left over from the old
+    // plan would keep drifting every later round.
+    let chip = ChipConfig::two_qubit_test();
+    let code = RotatedSurfaceCode::new(3);
+    let mf = train_mf_discriminator_typed(&chip, 8, 5);
+    let cfg = CycleConfig {
+        rounds: 3,
+        data_error_prob: 0.01,
+        seed: 11,
+    };
+    let pool = ShardPool::new(2);
+    let mut clean = CycleEngine::<f64, _>::with_pool(cfg, &chip, &code, &mf, &pool);
+    let mut drifted = CycleEngine::<f64, _>::with_pool(cfg, &chip, &code, &mf, &pool);
+    drifted.set_fault_plan(FaultPlan::new(vec![DriftEvent::CentroidDrift {
+        qubit: 0,
+        start_round: 0,
+        end_round: 0,
+        delta: readout_sim::trace::IqPoint::new(6.0, -6.0),
+    }]));
+    let mut diverged = false;
+    for _ in 0..3 {
+        let _ = (clean.run_cycle(), drifted.run_cycle());
+        diverged |= clean.last_block() != drifted.last_block();
+    }
+    assert!(diverged, "the drift must change the stream while installed");
+
+    drifted.set_fault_plan(FaultPlan::none());
+    for i in 0..4 {
+        assert_eq!(
+            drifted.run_cycle().outcome,
+            clean.run_cycle().outcome,
+            "cycle {i}"
+        );
+        assert_eq!(drifted.last_block(), clean.last_block(), "cycle {i}");
+    }
+}

@@ -231,10 +231,10 @@ where
 
 #[test]
 fn seeded_f64_configs_stream_identical_blocks_and_outcomes() {
-    sweep::<f64>(0x5EED_F64);
+    sweep::<f64>(0x5EED_0F64);
 }
 
 #[test]
 fn seeded_f32_configs_stream_identical_blocks_and_outcomes() {
-    sweep::<f32>(0x5EED_F32);
+    sweep::<f32>(0x5EED_0F32);
 }

@@ -29,7 +29,8 @@ pub enum SpanKind {
     /// Syndrome extraction/commit work; `arg` = round index (or cycle index
     /// for the block write-out span).
     Syndrome = 2,
-    /// Block decode; `arg` = cycle index.
+    /// Decode work; `arg` = cycle index of the decoded block (round index
+    /// for a sliding-window step).
     Decode = 3,
     /// One whole streaming cycle; `arg` = cycle index.
     Cycle = 4,
