@@ -77,6 +77,10 @@ pub struct ChipConfig {
 }
 
 impl ChipConfig {
+    /// Most qubits one feedline may carry: a [`crate::BasisState`] stores
+    /// one bit per qubit in a `u32`.
+    pub const MAX_QUBITS: usize = 32;
+
     /// Number of qubits on the feedline.
     pub fn n_qubits(&self) -> usize {
         self.qubits.len()
@@ -115,11 +119,19 @@ impl ChipConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: empty qubit
-    /// list, non-positive rates/durations, bins not dividing the window, IF
-    /// frequencies above Nyquist, or a crosstalk matrix of the wrong size.
+    /// list, more than [`ChipConfig::MAX_QUBITS`] qubits, non-positive
+    /// rates/durations, bins not dividing the window, IF frequencies above
+    /// Nyquist, or a crosstalk matrix of the wrong size.
     pub fn validate(&self) -> Result<(), String> {
         if self.qubits.is_empty() {
             return Err("chip must have at least one qubit".into());
+        }
+        if self.qubits.len() > Self::MAX_QUBITS {
+            return Err(format!(
+                "chip has {} qubits; a basis state holds at most {}",
+                self.qubits.len(),
+                Self::MAX_QUBITS
+            ));
         }
         if self.sample_rate_hz <= 0.0 || self.readout_duration_s <= 0.0 || self.demod_bin_s <= 0.0 {
             return Err("rates and durations must be positive".into());
@@ -267,6 +279,20 @@ mod tests {
         let mut cfg = ChipConfig::five_qubit_default();
         cfg.qubits.clear();
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_chips_wider_than_a_basis_state() {
+        let base = ChipConfig::five_qubit_default();
+        let widen = |n: usize| {
+            let mut cfg = base.clone();
+            cfg.qubits = vec![base.qubits[0].clone(); n];
+            cfg.crosstalk = CrosstalkModel::none(n);
+            cfg
+        };
+        widen(ChipConfig::MAX_QUBITS).validate().unwrap();
+        let err = widen(ChipConfig::MAX_QUBITS + 1).validate().unwrap_err();
+        assert!(err.contains("33 qubits"), "{err}");
     }
 
     #[test]

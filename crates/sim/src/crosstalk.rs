@@ -93,13 +93,13 @@ pub struct CrosstalkModel {
     n: usize,
     /// `linear[victim][aggressor]`: baseband shift (absolute IQ units) applied
     /// to the victim when the aggressor is fully excited. Diagonal is zero.
-    linear: Vec<Vec<IqPoint>>,
+    pub(crate) linear: Vec<Vec<IqPoint>>,
     /// Direction and magnitude of the extra shift on victim `q` when a *pair*
     /// of other qubits is simultaneously excited.
-    pairwise: Vec<IqPoint>,
+    pub(crate) pairwise: Vec<IqPoint>,
     /// Per-qubit aggressor strength entering the pairwise term (normalized
     /// dispersive separation; a weakly coupled qubit contributes weakly).
-    pair_strength: Vec<f64>,
+    pub(crate) pair_strength: Vec<f64>,
     /// Extra multiplicative strength of the crosstalk during the ring-up
     /// transient: the shift is scaled by `1 + boost · exp(−t/τ)`. Resonators
     /// pull each other hardest while their fields are still building up,
@@ -285,10 +285,13 @@ impl CrosstalkModel {
     /// * the transient factor comes from a precomputed
     ///   [`CrosstalkModel::transient_table`].
     ///
-    /// Both the streaming synthesizer and the offline reference route
-    /// through this one function, so engine and offline traces stay
+    /// This is the row-pass reference: the offline path routes through it,
+    /// and so does the scalar arm of [`ReadoutMixer`]. The mixer's AVX2 arm
+    /// replays these exact per-element operations in registers and is
+    /// pinned bitwise to them, so engine and offline traces stay
     /// bit-identical on every kernel backend.
     ///
+    /// [`ReadoutMixer`]: crate::mixer::ReadoutMixer
     /// [`Kernel`]: herqles_num::Kernel
     ///
     /// # Panics

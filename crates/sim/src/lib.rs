@@ -41,6 +41,7 @@ pub mod crosstalk;
 pub mod dataset;
 pub mod drift;
 pub mod events;
+pub mod mixer;
 pub mod multiplex;
 pub mod noise;
 pub mod trace;
@@ -52,5 +53,6 @@ pub use crosstalk::{CrosstalkError, CrosstalkModel};
 pub use dataset::{Dataset, DatasetSplit, Shot, ShotTruth};
 pub use drift::{DriftEvent, FaultPlan, RoundFaults};
 pub use herqles_num::Real;
+pub use mixer::ReadoutMixer;
 pub use noise::GaussianNoise;
 pub use trace::{BasisState, IqPoint, IqTrace};

@@ -21,40 +21,34 @@ use crate::trace::{IqPoint, IqTrace};
 
 /// Precomputed carrier phasors `e^{i ω_q t}` for every qubit and raw sample.
 ///
-/// Besides the `f64` phasor pairs the demodulator reads, the table caches
-/// flattened per-precision cosine/sine planes (`[qubit × sample]`, values
-/// rounded through [`Real::from_f64`] exactly as the per-sample mix did) so
-/// trace assembly can run as contiguous [`herqles_num::Kernel::mix_accum`]
-/// passes instead of per-sample phasor lookups.
+/// The phasors live in flattened per-precision cosine/sine planes
+/// (`[qubit × sample]`): the `f64` planes serve [`CarrierTable::phasor`]
+/// to the demodulator, and the `f32` planes hold the same values rounded
+/// through [`Real::from_f64`] exactly as the per-sample mix did, so trace
+/// assembly runs as contiguous [`herqles_num::Kernel::mix_accum`] passes at
+/// either precision instead of per-sample phasor lookups.
 #[derive(Debug, Clone)]
 pub struct CarrierTable {
-    /// `phasors[qubit][sample] = (cos ω_q t, sin ω_q t)`.
-    phasors: Vec<Vec<(f64, f64)>>,
+    n_qubits: usize,
     planes32: CarrierPlanes<f32>,
     planes64: CarrierPlanes<f64>,
 }
 
 /// Flattened `R`-typed modulation planes of one [`CarrierTable`].
 #[derive(Debug, Clone)]
-struct CarrierPlanes<R> {
-    cos: Vec<R>,
-    sin: Vec<R>,
-    n_samples: usize,
+pub(crate) struct CarrierPlanes<R> {
+    pub(crate) cos: Vec<R>,
+    pub(crate) sin: Vec<R>,
+    pub(crate) n_samples: usize,
 }
 
 impl<R: Real> CarrierPlanes<R> {
-    fn build(phasors: &[Vec<(f64, f64)>]) -> Self {
-        let n_samples = phasors.first().map_or(0, Vec::len);
-        let mut cos = Vec::with_capacity(phasors.len() * n_samples);
-        let mut sin = Vec::with_capacity(phasors.len() * n_samples);
-        for row in phasors {
-            cos.extend(row.iter().map(|&(c, _)| R::from_f64(c)));
-            sin.extend(row.iter().map(|&(_, s)| R::from_f64(s)));
-        }
+    /// Rounds every `f64` plane entry through [`Real::from_f64`].
+    fn rounded(planes: &CarrierPlanes<f64>) -> Self {
         CarrierPlanes {
-            cos,
-            sin,
-            n_samples,
+            cos: planes.cos.iter().map(|&c| R::from_f64(c)).collect(),
+            sin: planes.sin.iter().map(|&s| R::from_f64(s)).collect(),
+            n_samples: planes.n_samples,
         }
     }
 
@@ -70,48 +64,53 @@ impl<R: Real> CarrierPlanes<R> {
 impl CarrierTable {
     /// Builds the table for a chip configuration.
     pub fn new(config: &ChipConfig) -> Self {
+        let n_qubits = config.n_qubits();
         let n_samples = config.n_samples();
-        let phasors: Vec<Vec<(f64, f64)>> = config
-            .qubits
-            .iter()
-            .map(|q| {
-                (0..n_samples)
-                    .map(|t| {
-                        let phase =
-                            2.0 * std::f64::consts::PI * q.if_freq_hz * config.sample_time(t);
-                        let (s, c) = phase.sin_cos();
-                        (c, s)
-                    })
-                    .collect()
-            })
-            .collect();
-        let planes32 = CarrierPlanes::build(&phasors);
-        let planes64 = CarrierPlanes::build(&phasors);
+        let mut planes64 = CarrierPlanes {
+            cos: Vec::with_capacity(n_qubits * n_samples),
+            sin: Vec::with_capacity(n_qubits * n_samples),
+            n_samples,
+        };
+        for q in &config.qubits {
+            for t in 0..n_samples {
+                let phase = 2.0 * std::f64::consts::PI * q.if_freq_hz * config.sample_time(t);
+                let (s, c) = phase.sin_cos();
+                planes64.cos.push(c);
+                planes64.sin.push(s);
+            }
+        }
         CarrierTable {
-            phasors,
-            planes32,
+            n_qubits,
+            planes32: CarrierPlanes::rounded(&planes64),
             planes64,
         }
     }
 
     /// The phasor of `qubit` at raw sample `t` as `(cos, sin)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubit` or `t` is out of range.
     pub fn phasor(&self, qubit: usize, t: usize) -> (f64, f64) {
-        self.phasors[qubit][t]
+        let p = &self.planes64;
+        assert!(t < p.n_samples, "sample {t} outside the carrier table");
+        let k = qubit * p.n_samples + t;
+        (p.cos[k], p.sin[k])
     }
 
     /// Number of qubits covered by the table.
     pub fn n_qubits(&self) -> usize {
-        self.phasors.len()
+        self.n_qubits
     }
 
     /// Number of raw samples covered by the table.
     pub fn n_samples(&self) -> usize {
-        self.phasors.first().map_or(0, Vec::len)
+        self.planes64.n_samples
     }
 
     /// The cached `R`-typed planes ([`Real`] is sealed to `f32`/`f64`, so
     /// one of the two stored precisions always matches).
-    fn planes<R: Real>(&self) -> &CarrierPlanes<R> {
+    pub(crate) fn planes<R: Real>(&self) -> &CarrierPlanes<R> {
         use std::any::Any;
         let p32: &dyn Any = &self.planes32;
         if let Some(p) = p32.downcast_ref::<CarrierPlanes<R>>() {
@@ -148,7 +147,7 @@ pub fn synthesize<R: Real, G: Rng + ?Sized>(
     )
 }
 
-/// Reusable SoA staging buffers for [`synthesize_into_scratch`]: one
+/// Reusable SoA staging buffers for [`mix_into_scratch`]: one
 /// baseband's I and Q samples, converted to `R` once per qubit so the mix
 /// runs as a contiguous kernel pass.
 #[derive(Debug, Clone)]
@@ -195,20 +194,16 @@ pub fn synthesize_into<R: Real, G: Rng + ?Sized>(
 }
 
 /// The allocation-free trace-assembly engine behind [`synthesize`] and
-/// [`synthesize_into`].
+/// [`synthesize_into`]: [`mix_into_scratch`], then the amplifier noise as
+/// one bulk [`GaussianNoise::fill_add_iq`].
 ///
 /// Generic over the output precision `R` ([`Real`]): carrier mixing, channel
 /// accumulation and amplifier-noise draws all run in `R`, so an `f32` batch
-/// row is synthesized at `f32` arithmetic width end to end. Per qubit, the
-/// baseband is staged into `scratch`'s SoA rows (through the same
-/// [`Real::from_f64`] rounding the per-sample loop applied) and mixed onto
-/// the output by one [`herqles_num::Kernel::mix_accum`] pass over the
-/// cached carrier planes; the amplifier noise then lands as one bulk
-/// [`GaussianNoise::fill_add_iq`]. On the scalar backend every operation
-/// matches the historical per-sample loop in order and rounding, so scalar
-/// synthesis is bit-identical to the pre-batched implementation; the AVX2
-/// backend diverges only by FMA contraction in the mix and by its
-/// lane-parallel noise stream.
+/// row is synthesized at `f32` arithmetic width end to end. On the scalar
+/// backend every operation matches the historical per-sample loop in order
+/// and rounding, so scalar synthesis is bit-identical to the pre-batched
+/// implementation; the AVX2 backend diverges only by FMA contraction in the
+/// mix and by its lane-parallel noise stream.
 ///
 /// # Panics
 ///
@@ -223,21 +218,69 @@ pub fn synthesize_into_scratch<R: Real, G: Rng + ?Sized>(
     i_out: &mut [R],
     q_out: &mut [R],
 ) {
+    mix_into_scratch(carriers, basebands, scratch, i_out, q_out);
+    noise.fill_add_iq(rng, i_out, q_out);
+}
+
+/// The noise-free carrier mix: overwrites `i_out`/`q_out` with
+/// `Σ_q basebands[q] · e^{i ω_q t}`.
+///
+/// Per qubit, the baseband is staged into `scratch`'s SoA rows (through the
+/// same [`Real::from_f64`] rounding the per-sample loop applied) and mixed
+/// onto the output by one [`herqles_num::Kernel::mix_accum`] pass over the
+/// cached carrier planes.
+///
+/// # Panics
+///
+/// Panics if the baseband dimensions or output slice lengths do not match the
+/// carrier table.
+pub fn mix_into_scratch<R: Real>(
+    carriers: &CarrierTable,
+    basebands: &[Vec<IqPoint>],
+    scratch: &mut SynthScratch<R>,
+    i_out: &mut [R],
+    q_out: &mut [R],
+) {
+    let n = carriers.n_samples();
+    assert_eq!(i_out.len(), n, "I output length must match carrier table");
+    assert_eq!(q_out.len(), n, "Q output length must match carrier table");
+    mix_window(carriers, basebands, 0, scratch, i_out, q_out);
+}
+
+/// [`mix_into_scratch`] over the sample window `from..from + i_out.len()`:
+/// `basebands[q]` and the output rows cover exactly that window, and the
+/// carrier planes are read from sample `from` on.
+///
+/// # Panics
+///
+/// Panics if the baseband count, a baseband length or the window disagrees
+/// with the carrier table.
+pub(crate) fn mix_window<R: Real>(
+    carriers: &CarrierTable,
+    basebands: &[Vec<IqPoint>],
+    from: usize,
+    scratch: &mut SynthScratch<R>,
+    i_out: &mut [R],
+    q_out: &mut [R],
+) {
     assert_eq!(
         basebands.len(),
         carriers.n_qubits(),
         "one baseband per qubit required"
     );
-    let n = carriers.n_samples();
-    assert_eq!(i_out.len(), n, "I output length must match carrier table");
-    assert_eq!(q_out.len(), n, "Q output length must match carrier table");
-    scratch.resize(n);
+    let len = i_out.len();
+    assert_eq!(q_out.len(), len, "I and Q outputs must share a length");
+    assert!(
+        from + len <= carriers.n_samples(),
+        "window exceeds the carrier table"
+    );
+    scratch.resize(len);
     i_out.fill(R::ZERO);
     q_out.fill(R::ZERO);
     let kernel = R::kernel();
     let planes = carriers.planes::<R>();
     for (q, bb) in basebands.iter().enumerate() {
-        assert_eq!(bb.len(), n, "baseband length must match carrier table");
+        assert_eq!(bb.len(), len, "baseband length must match carrier table");
         for (t, s) in bb.iter().enumerate() {
             scratch.bi[t] = R::from_f64(s.i);
             scratch.bq[t] = R::from_f64(s.q);
@@ -245,13 +288,12 @@ pub fn synthesize_into_scratch<R: Real, G: Rng + ?Sized>(
         kernel.mix_accum(
             &scratch.bi,
             &scratch.bq,
-            planes.cos_of(q),
-            planes.sin_of(q),
+            &planes.cos_of(q)[from..from + len],
+            &planes.sin_of(q)[from..from + len],
             i_out,
             q_out,
         );
     }
-    noise.fill_add_iq(rng, i_out, q_out);
 }
 
 #[cfg(test)]

@@ -17,7 +17,11 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// assert_eq!((a + b).i, 1.5);
 /// assert!((a * 2.0).q == 4.0);
 /// ```
+///
+/// `#[repr(C)]`: a `[IqPoint]` is an interleaved `i, q, i, q, …` run of
+/// `f64`s, which the vectorized readout mixer loads directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct IqPoint {
     /// In-phase component.
     pub i: f64,

@@ -236,13 +236,12 @@ pub fn baseband_into_cached(
 }
 
 /// Appends `target + v·dp[j]` for each table entry: one ring-up segment in
-/// closed form. Independent iterations — the compiler vectorizes this where
-/// the sequential recurrence could not be.
+/// closed form. Independent iterations, extended from the exact-size table
+/// iterator so the compiler vectorizes the fill without per-point capacity
+/// checks.
 #[inline]
 fn fill_geometric(target: IqPoint, v: IqPoint, dp: &[f64], out: &mut Vec<IqPoint>) {
-    for &p in dp {
-        out.push(target + v * p);
-    }
+    out.extend(dp.iter().map(|&p| target + v * p));
 }
 
 /// Single-entry `exp` memo keyed on the exact bit pattern of the argument.
@@ -296,9 +295,9 @@ pub fn excitation_measure(params: &QubitParams, s: IqPoint) -> f64 {
 /// the streaming synthesizer switches to cached probes.
 #[derive(Debug, Clone)]
 pub struct ExcitationProbe {
-    separation: f64,
-    dir: IqPoint,
-    ground_ss: IqPoint,
+    pub(crate) separation: f64,
+    pub(crate) dir: IqPoint,
+    pub(crate) ground_ss: IqPoint,
 }
 
 impl ExcitationProbe {

@@ -4,10 +4,13 @@
 //! call, written directly into a [`ShotBatch`] row. It performs exactly the
 //! physics of `readout_sim`'s dataset generator — state-path sampling,
 //! ring-up basebands, dispersive crosstalk, multiplexed synthesis with
-//! amplifier noise — but through the `*_into` primitives
-//! ([`readout_sim::trajectory::baseband_into`],
-//! [`readout_sim::multiplex::synthesize_into`]) over buffers reused across
-//! rounds, so the warm steady-state path touches the heap not at all.
+//! amplifier noise — over buffers reused across rounds, so the warm
+//! steady-state path touches the heap not at all. Basebands come from
+//! [`readout_sim::trajectory::baseband_into_cached`]; one
+//! [`ReadoutMixer`] then applies crosstalk and the carrier mix (on the AVX2
+//! backend as one fused register pass, pinned bitwise to the row passes the
+//! offline reference runs); the amplifier noise lands last through
+//! [`GaussianNoise::fill_add_iq`].
 //!
 //! RNG draw order matches the materializing path (per-channel state paths in
 //! channel order, then per-sample noise), so a streaming row and an offline
@@ -16,41 +19,29 @@
 
 use herqles_num::Real;
 use rand::{Rng, RngExt};
-use readout_sim::crosstalk::CrosstalkScratch;
 use readout_sim::drift::RoundFaults;
 use readout_sim::events::{sample_path, StatePath};
-use readout_sim::multiplex::{synthesize_into_scratch, CarrierTable, SynthScratch};
 use readout_sim::trace::IqPoint;
-use readout_sim::trajectory::{baseband_into_cached, ExcitationProbe, RingupTable};
-use readout_sim::{BasisState, ChipConfig, GaussianNoise, ShotBatch};
+use readout_sim::trajectory::{baseband_into_cached, RingupTable};
+use readout_sim::{BasisState, ChipConfig, GaussianNoise, ReadoutMixer, ShotBatch};
 
 /// Reusable synthesizer of one feedline group's readout shot.
 ///
 /// Generic over the pipeline precision `R` ([`Real`], default `f64`): the
 /// analog physics (state paths, ring-up basebands, crosstalk shifts) always
 /// evolves in `f64` — it stands in for continuous voltages — while the
-/// ADC-facing mixing, accumulation and amplifier-noise draws of
-/// [`readout_sim::multiplex::synthesize_into`] run at `R`, writing directly
-/// into a `ShotBatch<R>` row.
+/// ADC-facing mixing, accumulation and amplifier-noise draws run at `R`,
+/// writing directly into a `ShotBatch<R>` row.
 #[derive(Debug, Clone)]
 pub struct RoundSynth<R: Real = f64> {
     chip: ChipConfig,
-    carriers: CarrierTable,
     times: Vec<f64>,
     paths: Vec<StatePath>,
     basebands: Vec<Vec<IqPoint>>,
-    measures: Vec<Vec<f64>>,
-    /// Per-sample crosstalk transient factors, precomputed once (the sample
-    /// clock never changes) so the hot loop evaluates no exponentials.
-    transient: Vec<f64>,
-    /// Per-qubit excitation geometry, precomputed so the per-sample measure
-    /// needs no square roots.
-    probes: Vec<ExcitationProbe>,
     /// Per-qubit closed-form ring-up tables (`dᵏ` decay powers on the fixed
     /// sample clock) driving the vectorizable baseband fill on SIMD arms.
     ringups: Vec<RingupTable>,
-    xtalk: CrosstalkScratch,
-    synth: SynthScratch<R>,
+    mixer: ReadoutMixer<R>,
     /// ADC noise deviation at pipeline precision.
     sigma: R,
 }
@@ -72,20 +63,15 @@ impl<R: Real> RoundSynth<R> {
             .collect();
         RoundSynth {
             chip: chip.clone(),
-            carriers: CarrierTable::new(chip),
-            transient: chip.crosstalk.transient_table(&times),
-            probes: chip.qubits.iter().map(ExcitationProbe::new).collect(),
             ringups: chip
                 .qubits
                 .iter()
                 .map(|q| RingupTable::new(q, &times))
                 .collect(),
+            mixer: ReadoutMixer::new(chip, &times),
             times,
             paths: Vec::with_capacity(n),
             basebands: vec![Vec::with_capacity(n_samples); n],
-            measures: vec![Vec::with_capacity(n_samples); n],
-            xtalk: CrosstalkScratch::new(),
-            synth: SynthScratch::new(n_samples),
             sigma: R::from_f64(chip.adc_noise_sigma),
         }
     }
@@ -259,51 +245,22 @@ impl<R: Real> RoundSynth<R> {
                 }
             }
         }
-        // 3. Excitation measures driving the crosstalk model (computed on the
-        //    faulted basebands: a drifted or leaked channel pulls neighbours
-        //    according to where its resonator actually sits). Cached probes
-        //    produce the same values as `excitation_measure` without the
-        //    per-sample square roots.
-        for ((probe, bb), meas) in self
-            .probes
-            .iter()
-            .zip(&self.basebands)
-            .zip(&mut self.measures)
-        {
-            meas.clear();
-            meas.extend(bb.iter().map(|&s| probe.measure(s)));
-        }
-        // 4. Dispersive crosstalk shifts, applied as contiguous row passes
-        //    (precomputed transient table, hoisted pair weights) — the same
-        //    values the per-sample `shift_at` loop produced.
+        // 3. Excitation measures, dispersive crosstalk shifts (computed on
+        //    the faulted basebands: a drifted or leaked channel pulls
+        //    neighbours according to where its resonator actually sits) and
+        //    the carrier mix, straight into the row.
         let gain = faults.map_or(1.0, RoundFaults::crosstalk_gain);
-        self.chip.crosstalk.apply_batch(
-            &self.measures,
-            &self.transient,
-            gain,
-            &mut self.basebands,
-            &mut self.xtalk,
-        );
-        // 5. Multiplexed synthesis with amplifier noise, straight into the
-        //    row (fresh noise state per shot, like the dataset path). Sigma
-        //    scaling rebuilds the sampler only when the fault deviates, so
-        //    the nominal noise stream is untouched bit for bit.
+        self.mixer.mix_into(&mut self.basebands, gain, i_row, q_row);
+        // 4. Amplifier noise (fresh noise state per shot, like the dataset
+        //    path). Sigma scaling rebuilds the sampler only when the fault
+        //    deviates, so the nominal noise stream is untouched bit for bit.
         let sigma_scale = faults.map_or(1.0, RoundFaults::sigma_scale);
         let sigma = if sigma_scale != 1.0 {
             self.sigma * R::from_f64(sigma_scale)
         } else {
             self.sigma
         };
-        let mut noise = GaussianNoise::new(sigma);
-        synthesize_into_scratch(
-            &self.carriers,
-            &self.basebands,
-            &mut noise,
-            rng,
-            &mut self.synth,
-            i_row,
-            q_row,
-        );
+        GaussianNoise::new(sigma).fill_add_iq(rng, i_row, q_row);
     }
 }
 
