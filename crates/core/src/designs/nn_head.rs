@@ -91,6 +91,22 @@ impl NnDiscriminator {
         &self.net
     }
 
+    /// The batched tail shared by every fused path: standardizes the raw
+    /// `[shots × width]` feature rows in place, runs one batched forward
+    /// pass and maps each row's class to its basis state.
+    fn classify_rows(
+        &self,
+        mut features: Vec<f64>,
+        width: usize,
+    ) -> impl Iterator<Item = BasisState> {
+        self.standardizer.transform_rows_inplace(&mut features);
+        let x = Matrix::from_vec(features.len() / width, width, features);
+        self.net
+            .predict_rows(&x)
+            .into_iter()
+            .map(|c| BasisState::new(c as u32))
+    }
+
     fn features_of(&self, raw: &IqTrace, bins: Option<&[usize]>) -> Vec<f64> {
         let traces = self.demod.demodulate(raw);
         let f = match bins {
@@ -122,18 +138,9 @@ impl Discriminator for NnDiscriminator {
                 .map(|s| self.discriminate(&batch.trace(s)))
                 .collect();
         }
-        // Fused features → in-place standardization → one batched forward
-        // pass; the only allocations are the feature buffer and the
-        // network's layer activations, shared by the whole batch.
         let mut features = Vec::new();
         kernel.features_batch(batch, &mut features);
-        self.standardizer.transform_rows_inplace(&mut features);
-        let x = Matrix::from_vec(batch.n_shots(), kernel.n_features(), features);
-        self.net
-            .predict_rows(&x)
-            .into_iter()
-            .map(|c| BasisState::new(c as u32))
-            .collect()
+        self.classify_rows(features, kernel.n_features()).collect()
     }
 
     fn discriminate_truncated(&self, raw: &IqTrace, bins: &[usize]) -> Option<BasisState> {
@@ -157,17 +164,7 @@ impl Discriminator for NnDiscriminator {
             bins,
             self.kernels.n_samples(),
         ) {
-            Some((mut features, width)) => {
-                self.standardizer.transform_rows_inplace(&mut features);
-                let x = Matrix::from_vec(raws.len(), width, features);
-                Some(
-                    self.net
-                        .predict_rows(&x)
-                        .into_iter()
-                        .map(|c| BasisState::new(c as u32))
-                        .collect(),
-                )
-            }
+            Some((features, width)) => Some(self.classify_rows(features, width).collect()),
             None => {
                 let features: Vec<Vec<f64>> = raws
                     .iter()
@@ -201,15 +198,8 @@ impl PrecisionDiscriminator<f32> for NnDiscriminator {
             return;
         }
         kernel.features_batch(batch, scratch);
-        let mut features: Vec<f64> = scratch.iter().map(|&v| f64::from(v)).collect();
-        self.standardizer.transform_rows_inplace(&mut features);
-        let x = Matrix::from_vec(batch.n_shots(), kernel.n_features(), features);
-        out.extend(
-            self.net
-                .predict_rows(&x)
-                .into_iter()
-                .map(|c| BasisState::new(c as u32)),
-        );
+        let features = scratch.iter().map(|&v| f64::from(v)).collect();
+        out.extend(self.classify_rows(features, kernel.n_features()));
     }
 }
 

@@ -183,3 +183,29 @@ fn fused_kernel_feature_parity_with_rmf_bank() {
         }
     }
 }
+
+#[test]
+fn large_batches_match_per_shot_across_the_forward_row_split() {
+    // 384 shots per state × 4 states = 1536 rows: every NN design's forward
+    // (mf-nn 176, mf-rmf-nn 320, baseline ≥ 6·10⁵ MACs per shot) crosses
+    // the matmul's 2^18-MAC parallel threshold, so the batched labels come
+    // from row blocks split across threads and walked in 16-row tiles.
+    let (_, _, designs) = trained_designs();
+    let eval = Dataset::generate(&ChipConfig::two_qubit_test(), 384, 97_531);
+    let all: Vec<usize> = (0..eval.shots.len()).collect();
+    let batch = ShotBatch::from_dataset(&eval, &all);
+    assert!(batch.n_shots() >= 1024);
+    let nn_designs = ["mf-nn", "mf-rmf-nn", "baseline"];
+    for disc in designs.iter().filter(|d| nn_designs.contains(&d.name())) {
+        let batched = disc.discriminate_shot_batch(&batch);
+        assert_eq!(batched.len(), all.len(), "{}", disc.name());
+        for (i, shot) in eval.shots.iter().enumerate() {
+            assert_eq!(
+                batched[i],
+                disc.discriminate(&shot.raw),
+                "{} diverges on evaluation shot {i}",
+                disc.name()
+            );
+        }
+    }
+}

@@ -3,36 +3,45 @@
 //!
 //! Deliberately minimal: just what dense-layer training and batched readout
 //! inference need. The matmul kernel ([`gemm_into`]) streams each output row
-//! against an L1-resident right-operand tile (`KC × NC` doubles = 32 KiB),
-//! broadcasting one left-operand element at a time, and parallelizes over
-//! output-row blocks with scoped threads when the problem is large enough to
-//! amortize spawning. It is exposed on raw slices so callers owning flat
-//! buffers (e.g. `ShotBatch` planes) can multiply with zero copies.
+//! against an L1-resident right-operand tile (`KC × NC` doubles = 32 KiB)
+//! and parallelizes over output-row blocks with scoped threads when the
+//! problem is large enough to amortize spawning. It is exposed on raw
+//! slices so callers owning flat buffers (e.g. `ShotBatch` planes) can
+//! multiply with zero copies. Its single-thread body is one crate-internal
+//! helper that `Mlp::forward` also runs on 16-row inference tiles, so a
+//! network's layers do exactly the per-row arithmetic of [`Matrix::matmul`]
+//! without a per-layer matrix or thread fan-out.
 //!
-//! Every inner loop — the broadcast rank-1 updates of the tiled path and
+//! Every inner loop — one register-resident panel update
+//! ([`Kernel::axpy_panel`]) per output row and tile on the broadcast path,
 //! the multi-accumulator dots of the tall-skinny path — runs on the
-//! process-dispatched SIMD microkernel backend
-//! ([`herqles_num::kernel`]): AVX2+FMA on `x86_64` CPUs that support it,
-//! the bit-identical-to-history scalar reference otherwise, overridable
-//! with `HERQLES_KERNEL=scalar|avx2|auto`. The `*_with` variants
+//! process-dispatched SIMD microkernel backend ([`herqles_num::kernel`]):
+//! AVX2+FMA on `x86_64` CPUs that support it, the bit-identical-to-history
+//! scalar reference otherwise, overridable with
+//! `HERQLES_KERNEL=scalar|avx2|auto`. The `*_with` variants
 //! ([`gemm_into_with`], [`gemm_rt_into_with`]) take an explicit backend so
 //! the kernel-parity suite can compare them head to head in one process.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use herqles_num::kernel::{active_kernel_name, Kernel, ScalarKernel};
 use herqles_num::Real;
 
-/// Minimum number of multiply-accumulates before the matmul bothers spawning
-/// threads.
+/// Minimum number of multiply-accumulates before a matmul (or a whole
+/// `Mlp::forward`) splits its rows across threads.
 ///
-/// Measured on the reference container: scoped-thread spawn + join costs
-/// ~9 µs, and the single-threaded kernel sustains 3.1–4.9 GMAC/s across the
-/// shapes this workspace runs (64³ through 256×1000×5). 2^18 MACs is
-/// therefore ~60–85 µs of work, so a two-way split saves ~30 µs net — the
-/// smallest size where parallelism reliably wins. The previous 2^20
-/// threshold left 4× that much single-threaded work on the table before any
-/// parallelism kicked in.
+/// Re-measured on the 2-vCPU AVX2 box with the panel microkernel: a scoped
+/// spawn + join of one extra thread costs 15–30 µs, and one thread sustains
+/// 4–13 GMAC/s (64³: 4.6, 256×1000×5 skinny: 7.7, 16×1000×500: 13.5; the
+/// five-qubit head forward ≈ 10). 2^18 MACs is therefore only 20–65 µs of
+/// work, and a two-way split there breaks even at best: the head forward
+/// took 25 µs unsplit at 107 rows and 41 µs split at 108 rows (fastest of
+/// 1000). The split pays clearly from ≈ 2^21 MACs — the 1024-shot head
+/// forward runs in ≈ 165 µs split against ≈ 245 µs on one thread. Every
+/// GEMM of the benchmarked paths sits either far below 2^18 (stream
+/// discrimination) or above 2^21 (1024-shot readout batches), so the value
+/// is kept; retuning it needs the in-between shapes measured first.
 const PARALLEL_THRESHOLD: usize = 1 << 18;
 
 /// Right-operand tile depth (rows of `rhs` per tile).
@@ -44,12 +53,10 @@ const KC: usize = 64;
 const NC: usize = 64;
 
 /// Column count at or below which the kernel switches to the tall-skinny
-/// path: transpose `rhs` once, then compute each output element as a
-/// contiguous multi-accumulator dot product. The broadcast kernel loads and
-/// stores the whole `n`-wide output segment per left-operand element, which
-/// for small `n` (the fused readout filter banks have 5–10 columns) is 2
-/// memory ops per FMA; the dot-product form streams both operands linearly
-/// and keeps its accumulators in registers.
+/// path ([`Rhs::Skinny`]): transpose `rhs` once, then compute each output
+/// element as a contiguous multi-accumulator dot product. The fused readout
+/// filter banks have 5–10 columns; the dot-product form streams both
+/// operands linearly and keeps its accumulators in registers.
 const SKINNY_N: usize = 16;
 
 /// A dense row-major matrix of reals.
@@ -331,43 +338,88 @@ pub fn gemm_into_with<R: Real, K: Kernel<R> + ?Sized>(
     assert_eq!(lhs.len(), m * k, "lhs length must equal m*k");
     assert_eq!(rhs.len(), k * n, "rhs length must equal k*n");
     assert_eq!(out.len(), m * n, "out length must equal m*n");
-    out.fill(R::ZERO);
-    let work = m * k * n;
-    let threads = if work >= PARALLEL_THRESHOLD {
-        std::thread::available_parallelism()
-            .map_or(1, |t| t.get())
-            .min(m.max(1))
-    } else {
-        1
-    };
-    // Tall-skinny problems take the transposed dot-product kernel; the
-    // transpose is O(k·n), amortized over all m rows.
-    let rhs_t = if n > 0 && n <= SKINNY_N && k >= 2 * SKINNY_N {
-        let mut rt = vec![R::ZERO; k * n];
-        for (l, row) in rhs.chunks_exact(n).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                rt[j * k + l] = v;
-            }
-        }
-        Some(rt)
-    } else {
-        None
-    };
-    let run = |out_block: &mut [R], r0: usize, r1: usize| match &rhs_t {
-        Some(rt) => gemm_rows_skinny(kernel, lhs, rt, out_block, k, n, r0, r1),
-        None => gemm_rows(kernel, lhs, rhs, out_block, k, n, r0, r1),
-    };
+    let rhs = Rhs::new(rhs, k, n);
+    let threads = threads_for(m * k * n, m);
     if threads <= 1 {
-        run(out, 0, m);
+        gemm_rows_into(kernel, lhs, &rhs, out, m, k, n);
     } else {
         let chunk = m.div_ceil(threads);
+        let rhs = &rhs;
         std::thread::scope(|scope| {
-            for (block, out_block) in out.chunks_mut(chunk * n).enumerate() {
-                let r0 = block * chunk;
-                let r1 = (r0 + chunk).min(m);
-                scope.spawn(move || run(out_block, r0, r1));
+            for (lhs_block, out_block) in lhs.chunks(chunk * k).zip(out.chunks_mut(chunk * n)) {
+                let rows = out_block.len() / n;
+                scope.spawn(move || gemm_rows_into(kernel, lhs_block, rhs, out_block, rows, k, n));
             }
         });
+    }
+}
+
+/// How many threads a problem of `work` multiply-accumulates over `rows`
+/// row blocks is split across: one below [`PARALLEL_THRESHOLD`], else the
+/// machine's available parallelism (at most one thread per block).
+///
+/// The parallelism is read once per process: on Linux the query reads the
+/// cgroup CPU quota, measured at 13–17 µs a call.
+pub(crate) fn threads_for(work: usize, rows: usize) -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    if work >= PARALLEL_THRESHOLD {
+        let cores = *PARALLELISM
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()));
+        cores.min(rows.max(1))
+    } else {
+        1
+    }
+}
+
+/// A `[k × n]` right operand prepared for [`gemm_rows_into`]: the
+/// skinny-or-blocked choice, made once per operand so every row block —
+/// one thread's share, or one inference tile — reuses it.
+pub(crate) enum Rhs<'a, R: Real> {
+    /// Broadcast path over `KC × NC` tiles of the row-major operand.
+    Blocked(&'a [R]),
+    /// Tall-skinny path (`n ≤ SKINNY_N`, `k ≥ 2·SKINNY_N`): the `[n × k]`
+    /// transpose, so each output element is one contiguous dot product.
+    /// The broadcast kernel loads and stores the whole `n`-wide output
+    /// segment per left-operand element, which for small `n` is 2 memory
+    /// ops per FMA; the transpose is O(k·n), amortized over all rows.
+    Skinny(Vec<R>),
+}
+
+impl<'a, R: Real> Rhs<'a, R> {
+    /// Prepares `rhs` (`[k × n]`, row-major; lengths checked by callers).
+    pub(crate) fn new(rhs: &'a [R], k: usize, n: usize) -> Self {
+        if n > 0 && n <= SKINNY_N && k >= 2 * SKINNY_N {
+            let mut rt = vec![R::ZERO; k * n];
+            for (l, row) in rhs.chunks_exact(n).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    rt[j * k + l] = v;
+                }
+            }
+            Rhs::Skinny(rt)
+        } else {
+            Rhs::Blocked(rhs)
+        }
+    }
+}
+
+/// The single-thread body of [`gemm_into`]: `out = lhs · rhs` over `m`
+/// rows (`lhs` is `[m × k]`, `out` is `[m × n]`). Each output row's
+/// arithmetic depends only on that row, so any split of the rows — threads
+/// in [`gemm_into`], inference tiles in `Mlp::forward` — computes the same
+/// bits as one call over all of them.
+pub(crate) fn gemm_rows_into<R: Real, K: Kernel<R> + ?Sized>(
+    kernel: &K,
+    lhs: &[R],
+    rhs: &Rhs<'_, R>,
+    out: &mut [R],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    out.fill(R::ZERO);
+    match rhs {
+        Rhs::Skinny(rt) => gemm_rows_skinny(kernel, lhs, rt, out, m, k, n),
+        Rhs::Blocked(rhs) => gemm_rows(kernel, lhs, rhs, out, m, k, n),
     }
 }
 
@@ -409,23 +461,17 @@ pub fn gemm_rt_into_with<R: Real, K: Kernel<R> + ?Sized>(
     assert_eq!(lhs.len(), m * k, "lhs length must equal m*k");
     assert_eq!(rhs_t.len(), k * n, "rhs_t length must equal k*n");
     assert_eq!(out.len(), m * n, "out length must equal m*n");
-    let work = m * k * n;
-    let threads = if work >= PARALLEL_THRESHOLD {
-        std::thread::available_parallelism()
-            .map_or(1, |t| t.get())
-            .min(m.max(1))
-    } else {
-        1
-    };
+    let threads = threads_for(m * k * n, m);
     if threads <= 1 {
-        gemm_rows_skinny(kernel, lhs, rhs_t, out, k, n, 0, m);
+        gemm_rows_skinny(kernel, lhs, rhs_t, out, m, k, n);
     } else {
         let chunk = m.div_ceil(threads);
         std::thread::scope(|scope| {
-            for (block, out_block) in out.chunks_mut(chunk * n).enumerate() {
-                let r0 = block * chunk;
-                let r1 = (r0 + chunk).min(m);
-                scope.spawn(move || gemm_rows_skinny(kernel, lhs, rhs_t, out_block, k, n, r0, r1));
+            for (lhs_block, out_block) in lhs.chunks(chunk * k).zip(out.chunks_mut(chunk * n)) {
+                let rows = out_block.len() / n;
+                scope.spawn(move || {
+                    gemm_rows_skinny(kernel, lhs_block, rhs_t, out_block, rows, k, n)
+                });
             }
         });
     }
@@ -436,21 +482,19 @@ pub fn gemm_rt_into_with<R: Real, K: Kernel<R> + ?Sized>(
 /// register-blocked four at a time ([`Kernel::dot4`] shares each
 /// left-operand load across four accumulator chains), with a plain
 /// [`Kernel::dot`] sweep over the `rcols % 4` remainder.
-#[allow(clippy::too_many_arguments)]
 fn gemm_rows_skinny<R: Real, K: Kernel<R> + ?Sized>(
     kernel: &K,
     lhs: &[R],
     rhs_t: &[R],
-    out_block: &mut [R],
+    out: &mut [R],
+    rows: usize,
     inner: usize,
     rcols: usize,
-    r0: usize,
-    r1: usize,
 ) {
     let quad = kernel.quad_blocked();
-    for r in r0..r1 {
+    for r in 0..rows {
         let lhs_row = &lhs[r * inner..(r + 1) * inner];
-        let out_row = &mut out_block[(r - r0) * rcols..(r - r0 + 1) * rcols];
+        let out_row = &mut out[r * rcols..(r + 1) * rcols];
         let mut j = 0;
         if quad {
             while j + 4 <= rcols {
@@ -476,22 +520,19 @@ fn gemm_rows_skinny<R: Real, K: Kernel<R> + ?Sized>(
     }
 }
 
-/// Computes output rows `[r0, r1)` of `lhs · rhs` into `out_block`
-/// (`out_block` holds exactly those rows, already zeroed). The inner tile
-/// update is register-blocked four right-operand rows at a time
-/// ([`Kernel::axpy4`] pays one `out` load/store per four fused
-/// multiply-adds), with a per-row [`Kernel::axpy`] — which skips
-/// ReLU-sparse zero multipliers — over the `kw % 4` remainder.
-#[allow(clippy::too_many_arguments)]
+/// Accumulates `lhs · rhs` into `out` (`rows` rows, already zeroed). Each
+/// output row takes one [`Kernel::axpy_panel`] per `KC × NC` right-operand
+/// tile: the SIMD backends keep the row's `NC`-wide segment in registers
+/// across the tile's `KC` rows, and every backend skips the zero
+/// (ReLU-sparse) multipliers without reading their rows.
 fn gemm_rows<R: Real, K: Kernel<R> + ?Sized>(
     kernel: &K,
     lhs: &[R],
     rhs: &[R],
-    out_block: &mut [R],
+    out: &mut [R],
+    rows: usize,
     inner: usize,
     rcols: usize,
-    r0: usize,
-    r1: usize,
 ) {
     for jc in (0..rcols).step_by(NC) {
         let jw = NC.min(rcols - jc);
@@ -499,38 +540,14 @@ fn gemm_rows<R: Real, K: Kernel<R> + ?Sized>(
             let kw = KC.min(inner - kc);
             // The rhs tile rows [kc, kc+kw) × cols [jc, jc+jw) are revisited
             // by every output row below and stay L1-resident.
-            for r in r0..r1 {
-                let out_seg = &mut out_block[(r - r0) * rcols + jc..(r - r0) * rcols + jc + jw];
-                let lhs_seg = &lhs[r * inner + kc..r * inner + kc + kw];
-                let rhs_seg = |l: usize| &rhs[(kc + l) * rcols + jc..(kc + l) * rcols + jc + jw];
-                let mut l = 0;
-                if kernel.quad_blocked() {
-                    while l + 4 <= kw {
-                        let alphas = [lhs_seg[l], lhs_seg[l + 1], lhs_seg[l + 2], lhs_seg[l + 3]];
-                        if alphas.iter().all(|&a| a != R::ZERO) {
-                            kernel.axpy4(
-                                alphas,
-                                [rhs_seg(l), rhs_seg(l + 1), rhs_seg(l + 2), rhs_seg(l + 3)],
-                                out_seg,
-                            );
-                        } else {
-                            // A quad with zero multipliers takes the per-row
-                            // form: axpy skips zeros on every backend, so
-                            // zero-alpha rows are never *read* — SIMD
-                            // backends would otherwise turn 0 · ∞ (a
-                            // blown-up weight) into NaN where the scalar
-                            // reference stays finite.
-                            for (off, &a) in alphas.iter().enumerate() {
-                                kernel.axpy(a, rhs_seg(l + off), out_seg);
-                            }
-                        }
-                        l += 4;
-                    }
-                }
-                // Remainder rows — or, for non-quad backends, every row.
-                for (ll, &a) in lhs_seg.iter().enumerate().skip(l) {
-                    kernel.axpy(a, rhs_seg(ll), out_seg);
-                }
+            let tile = &rhs[kc * rcols + jc..];
+            for r in 0..rows {
+                kernel.axpy_panel(
+                    &lhs[r * inner + kc..r * inner + kc + kw],
+                    tile,
+                    rcols,
+                    &mut out[r * rcols + jc..r * rcols + jc + jw],
+                );
             }
         }
     }

@@ -5,11 +5,19 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use herqles_num::kernel::{active_kernel_name, Kernel, ScalarKernel};
+use herqles_num::Real;
+
 use crate::data::minibatch_indices;
 use crate::layers::{relu_inplace, Dense};
 use crate::loss::{softmax, softmax_cross_entropy};
-use crate::matrix::Matrix;
+use crate::matrix::{gemm_rows_into, threads_for, Matrix, Rhs};
 use crate::optim::{Adam, Optimizer, Sgd};
+
+/// Rows per inference tile in [`Mlp::forward`]: every layer's activations
+/// for one tile stay in L1 (16 rows × the 40-unit widest hidden layer of
+/// the five-qubit head is 5 KiB).
+const TILE: usize = 16;
 
 /// Which optimizer the training loop instantiates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,6 +100,24 @@ impl Mlp {
         Mlp { layers }
     }
 
+    /// Builds a network from explicit layers, input side first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty or a layer's input width differs from
+    /// the previous layer's output width.
+    pub fn from_layers(layers: Vec<Dense>) -> Self {
+        assert!(!layers.is_empty(), "need at least one layer");
+        for pair in layers.windows(2) {
+            assert_eq!(
+                pair[0].output_size(),
+                pair[1].input_size(),
+                "consecutive layer widths must agree"
+            );
+        }
+        Mlp { layers }
+    }
+
     /// The layer sizes, input first.
     pub fn layer_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![self.layers[0].input_size()];
@@ -129,16 +155,105 @@ impl Mlp {
 
     /// Forward pass producing logits for a batch, one sample per row.
     ///
+    /// Walks 16-row tiles through every layer in two scratch
+    /// buffers: per layer, the single-thread GEMM body of
+    /// [`gemm_into`](crate::matrix::gemm_into) on the tile, then bias add
+    /// and (on hidden layers) ReLU in place. No per-layer matrix or ReLU
+    /// mask is built, and the rows are split across threads at most once,
+    /// when the whole forward crosses the matmul's parallel threshold.
+    /// Every layer does the same per-row arithmetic as [`Dense::forward`]
+    /// followed by [`relu_inplace`], so the logits are bit-identical to
+    /// that layer chain on every kernel backend.
+    ///
     /// # Panics
     ///
     /// Panics if `x.cols() != self.input_size()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut a = self.layers[0].forward(x);
-        for layer in &self.layers[1..] {
-            relu_inplace(&mut a);
-            a = layer.forward(&a);
+        assert_eq!(x.cols(), self.input_size(), "inner dimensions must agree");
+        // Monomorphized scalar arm, as in `gemm_into`.
+        if active_kernel_name() == "scalar" {
+            self.forward_with(&ScalarKernel, x)
+        } else {
+            self.forward_with(<f64 as Real>::kernel(), x)
         }
-        a
+    }
+
+    /// [`Mlp::forward`] on an explicit microkernel backend.
+    fn forward_with<K: Kernel<f64> + ?Sized>(&self, kernel: &K, x: &Matrix) -> Matrix {
+        let m = x.rows();
+        let n_out = self.output_size();
+        let mut out = Matrix::zeros(m, n_out);
+        let rhs: Vec<Rhs<'_, f64>> = self
+            .layers
+            .iter()
+            .map(|layer| {
+                let w = layer.weights();
+                Rhs::new(w.as_slice(), w.rows(), w.cols())
+            })
+            .collect();
+        let threads = threads_for(m * self.n_macs(), m.div_ceil(TILE));
+        if threads <= 1 {
+            self.forward_rows(kernel, &rhs, x.as_slice(), out.as_mut_slice());
+        } else {
+            let chunk = m.div_ceil(threads).next_multiple_of(TILE);
+            let n_in = self.input_size();
+            let rhs = &rhs;
+            std::thread::scope(|scope| {
+                for (x_block, out_block) in x
+                    .as_slice()
+                    .chunks(chunk * n_in)
+                    .zip(out.as_mut_slice().chunks_mut(chunk * n_out))
+                {
+                    scope.spawn(move || self.forward_rows(kernel, rhs, x_block, out_block));
+                }
+            });
+        }
+        out
+    }
+
+    /// Logits of the rows of `x` into `out`, one [`TILE`] at a time, with
+    /// the layer outputs ping-ponging between two tile-sized buffers.
+    fn forward_rows<K: Kernel<f64> + ?Sized>(
+        &self,
+        kernel: &K,
+        rhs: &[Rhs<'_, f64>],
+        x: &[f64],
+        out: &mut [f64],
+    ) {
+        let n_in = self.input_size();
+        let n_out = self.output_size();
+        let last = self.layers.len() - 1;
+        let hidden = self.layers[..last]
+            .iter()
+            .map(Dense::output_size)
+            .max()
+            .unwrap_or(0);
+        let mut a = vec![0.0; TILE * hidden];
+        let mut b = vec![0.0; TILE * hidden];
+        for (x_tile, out_tile) in x.chunks(TILE * n_in).zip(out.chunks_mut(TILE * n_out)) {
+            let rows = x_tile.len() / n_in;
+            for (l, (layer, rhs)) in self.layers.iter().zip(rhs).enumerate() {
+                let (k, n) = (layer.input_size(), layer.output_size());
+                let input = if l == 0 { x_tile } else { &a[..rows * k] };
+                let output = if l == last {
+                    &mut out_tile[..]
+                } else {
+                    &mut b[..rows * n]
+                };
+                gemm_rows_into(kernel, input, rhs, output, rows, k, n);
+                let relu = l != last;
+                for row in output.chunks_exact_mut(n) {
+                    for (v, &bias) in row.iter_mut().zip(layer.bias()) {
+                        *v += bias;
+                        // As `relu_inplace`: all but v > 0 (NaN too) is +0.
+                        if relu {
+                            *v = if *v > 0.0 { *v } else { 0.0 };
+                        }
+                    }
+                }
+                std::mem::swap(&mut a, &mut b);
+            }
+        }
     }
 
     /// Forward pass producing softmax probabilities.

@@ -23,7 +23,11 @@
 //! 32-element f32 (16-element f64) unrolled main-loop steps, the `KC`/`NC`
 //! = 64 tile boundaries, the `SKINNY_N` = 16 path switch, and a
 //! tall-skinny shape crossing the parallel threshold — for both `f32` and
-//! `f64`, with seeded deterministic inputs.
+//! `f64`, with seeded deterministic inputs. The panel update
+//! [`Kernel::axpy_panel`] is held to more than the tolerance: on every
+//! backend it must be bit-identical to sequential `axpy` calls on that
+//! backend, which is what keeps inference tiles and GEMM row splits from
+//! moving any logit.
 
 use herqles_num::kernel::{Avx2Kernel, Kernel, ScalarKernel};
 use herqles_num::Real;
@@ -136,8 +140,8 @@ fn sweep_backend<R: Real>(kernel: &dyn Kernel<R>) {
     }
 }
 
-/// Primitive-level sweep: `dot`/`dot4`/`axpy`/`axpy4` at every length
-/// through the unroll and remainder windows.
+/// Primitive-level sweep: `dot`/`dot4`/`axpy` at every length through the
+/// unroll and remainder windows.
 fn sweep_primitives<R: Real>(kernel: &dyn Kernel<R>) {
     let scalar = &ScalarKernel;
     for len in 0..=67 {
@@ -173,27 +177,79 @@ fn sweep_primitives<R: Real>(kernel: &dyn Kernel<R>) {
             );
         }
 
-        // axpy / axpy4 accumulate into a non-trivial out so the update is
-        // checked against live partial sums, zero alphas included.
-        let alphas = [
-            R::from_f64(0.75),
-            R::ZERO,
-            R::from_f64(-1.25),
-            R::from_f64(0.5),
-        ];
+        // axpy accumulates into a non-trivial out so the update is checked
+        // against live partial sums.
         let base: Vec<R> = pseudo_random(len, 999 + len as u64);
         let mut out_scalar = base.clone();
         let mut out_simd = base.clone();
-        scalar.axpy(alphas[0], bs[0], &mut out_scalar);
-        kernel.axpy(alphas[0], bs[0], &mut out_simd);
-        scalar.axpy4(alphas, bs, &mut out_scalar);
-        kernel.axpy4(alphas, bs, &mut out_simd);
+        scalar.axpy(R::from_f64(0.75), bs[0], &mut out_scalar);
+        kernel.axpy(R::from_f64(0.75), bs[0], &mut out_simd);
         for i in 0..len {
             let (s, v) = (out_scalar[i].to_f64(), out_simd[i].to_f64());
-            // Element-wise updates reassociate at most 8 terms; the dot
-            // tolerance at |terms| scale is generous headroom.
             let t = TOL_ULPS * R::EPS.to_f64() * (1.0 + s.abs());
             assert!((s - v).abs() <= t, "axpy len {len} [{i}]: {s} vs {v}");
+        }
+    }
+}
+
+/// Panel sweep: `axpy_panel` at every depth `k ∈ 0..=64` (one `KC` tile)
+/// and width `0..=67` (every lane/unroll/8-vector chunk remainder), on
+/// rows `width + 3` apart. Every third alpha is zero and its row is
+/// poisoned with `∞`/`NaN`, which must never be read. The panel must be
+/// bitwise equal to sequential `axpy` on the same backend, and within the
+/// ULP tolerance of the scalar reference.
+fn sweep_panels<R: Real>(kernel: &dyn Kernel<R>) {
+    let scalar = &ScalarKernel;
+    for k in 0..=64usize {
+        for width in 0..=67usize {
+            let stride = width + 3;
+            let seed = (k * 101 + width) as u64;
+            let mut alphas: Vec<R> = pseudo_random(k, 7 + seed);
+            let mut rhs: Vec<R> = pseudo_random(k * stride, 13 + seed);
+            for l in (0..k).filter(|l| (l + width) % 3 == 0) {
+                alphas[l] = R::ZERO;
+                let poison = if l % 2 == 0 {
+                    R::from_f64(f64::INFINITY)
+                } else {
+                    R::from_f64(f64::NAN)
+                };
+                rhs[l * stride..(l + 1) * stride].fill(poison);
+            }
+            let base: Vec<R> = pseudo_random(width, 999 + seed);
+            let row = |l: usize| &rhs[l * stride..l * stride + width];
+
+            let mut sequential = base.clone();
+            let mut reference = base.clone();
+            let mut abs: Vec<f64> = base.iter().map(|v| v.to_f64().abs()).collect();
+            for (l, &alpha) in alphas.iter().enumerate() {
+                kernel.axpy(alpha, row(l), &mut sequential);
+                scalar.axpy(alpha, row(l), &mut reference);
+                if alpha != R::ZERO {
+                    for (s, &x) in abs.iter_mut().zip(row(l)) {
+                        *s += (alpha.to_f64() * x.to_f64()).abs();
+                    }
+                }
+            }
+            let mut panel = base.clone();
+            kernel.axpy_panel(&alphas, &rhs, stride, &mut panel);
+
+            for i in 0..width {
+                assert_eq!(
+                    panel[i].to_f64().to_bits(),
+                    sequential[i].to_f64().to_bits(),
+                    "{} axpy_panel k {k} width {width} [{i}]: panel {} vs sequential axpy {}",
+                    kernel.name(),
+                    panel[i].to_f64(),
+                    sequential[i].to_f64(),
+                );
+                let (s, v) = (reference[i].to_f64(), panel[i].to_f64());
+                let t = TOL_ULPS * R::EPS.to_f64() * abs[i].max(1.0);
+                assert!(
+                    (s - v).abs() <= t,
+                    "{} axpy_panel k {k} width {width} [{i}]: scalar {s} vs {v}",
+                    kernel.name(),
+                );
+            }
         }
     }
 }
@@ -220,6 +276,7 @@ fn scalar_reference_agrees_with_itself_over_the_sweep() {
     // Guards the harness itself: zero diff must pass every shape/length.
     sweep_backend::<f64>(&ScalarKernel);
     sweep_primitives::<f32>(&ScalarKernel);
+    sweep_panels::<f64>(&ScalarKernel);
 }
 
 #[test]
@@ -242,6 +299,7 @@ fn f64_backends_match_scalar_over_shape_sweep() {
 fn f32_primitives_match_scalar_over_length_sweep() {
     for kernel in simd_backends::<f32>() {
         sweep_primitives::<f32>(kernel);
+        sweep_panels::<f32>(kernel);
     }
 }
 
@@ -249,6 +307,49 @@ fn f32_primitives_match_scalar_over_length_sweep() {
 fn f64_primitives_match_scalar_over_length_sweep() {
     for kernel in simd_backends::<f64>() {
         sweep_primitives::<f64>(kernel);
+        sweep_panels::<f64>(kernel);
+    }
+}
+
+/// A right-operand row behind a zero left-operand element (a ReLU zero) is
+/// never read by the broadcast GEMM, so an `∞`/`NaN` weight there cannot
+/// turn `0 · ∞` into `NaN`. Shapes stay off the tall-skinny path, whose
+/// dot products do multiply every element.
+fn poisoned_rows_stay_unread<R: Real>(kernel: &dyn Kernel<R>) {
+    for (m, k, n) in [(3, 9, 5), (5, 70, 40), (17, 33, 67)] {
+        let mut lhs: Vec<R> = pseudo_random(m * k, 31);
+        let mut rhs: Vec<R> = pseudo_random(k * n, 37);
+        for l in (0..k).step_by(4) {
+            for r in 0..m {
+                lhs[r * k + l] = R::ZERO;
+            }
+            let poison = if l % 8 == 0 {
+                R::from_f64(f64::INFINITY)
+            } else {
+                R::from_f64(f64::NAN)
+            };
+            rhs[l * n..(l + 1) * n].fill(poison);
+        }
+        let mut out = vec![R::ZERO; m * n];
+        gemm_into_with(kernel, &lhs, &rhs, &mut out, m, k, n);
+        assert!(
+            out.iter().all(|v| v.to_f64().is_finite()),
+            "{} gemm {m}x{k}x{n}: a zero-multiplied ∞/NaN row leaked into the output",
+            kernel.name(),
+        );
+    }
+}
+
+#[test]
+fn zero_multiplied_nonfinite_rows_leave_gemm_output_finite() {
+    poisoned_rows_stay_unread::<f64>(&ScalarKernel);
+    poisoned_rows_stay_unread::<f32>(&ScalarKernel);
+    poisoned_rows_stay_unread::<f64>(<f64 as Real>::kernel());
+    for kernel in simd_backends::<f64>() {
+        poisoned_rows_stay_unread::<f64>(kernel);
+    }
+    for kernel in simd_backends::<f32>() {
+        poisoned_rows_stay_unread::<f32>(kernel);
     }
 }
 

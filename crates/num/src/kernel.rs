@@ -5,9 +5,10 @@
 //! three primitive shapes: a contiguous dot product, a register-blocked
 //! 4-column dot ([`Kernel::dot4`], one left-operand load feeding four
 //! accumulator chains), and the broadcast-GEMM rank-1 update
-//! ([`Kernel::axpy`] / the 4-row fused [`Kernel::axpy4`]). [`Kernel`]
-//! abstracts exactly those primitives so one backend serves both pipeline
-//! precisions:
+//! ([`Kernel::axpy`] / the register-resident panel form
+//! [`Kernel::axpy_panel`], which sums a whole `KC`-deep right-operand tile
+//! into one output segment). [`Kernel`] abstracts exactly those primitives
+//! so one backend serves both pipeline precisions:
 //!
 //! | backend | where | f32 lanes | f64 lanes |
 //! |---|---|---|---|
@@ -45,7 +46,7 @@ use crate::Real;
 /// Implementations stay memory-safe on unequal lengths (the AVX2 paths
 /// bound their pointers by the common prefix) but the *value* computed is
 /// then unspecified and differs between backends. `out`-accumulating
-/// methods (`axpy*`) must add into `out`, never overwrite it.
+/// methods (`axpy`, `axpy_panel`) must add into `out`, never overwrite it.
 pub trait Kernel<R: Real>: Send + Sync {
     /// Backend label (`"scalar"` / `"avx2"`), used by bench rows and tests.
     fn name(&self) -> &'static str;
@@ -66,20 +67,35 @@ pub trait Kernel<R: Real>: Send + Sync {
     /// this to skip ReLU-sparse left operands).
     fn axpy(&self, alpha: R, x: &[R], out: &mut [R]);
 
-    /// Four fused rank-1 updates `out[i] += Σ_j alphas[j] · xs[j][i]`.
+    /// Register-resident panel update
+    /// `out[i] += Σ_l alphas[l] · rhs[l·stride + i]` for `i < out.len()`.
     ///
-    /// The broadcast GEMM calls this with four consecutive right-operand
-    /// rows of one L1 tile, quartering the `out` load/store traffic. The
-    /// accumulation order over `j` is ascending, so the scalar backend is
-    /// bit-identical to four sequential [`Kernel::axpy`] calls.
-    fn axpy4(&self, alphas: [R; 4], xs: [&[R]; 4], out: &mut [R]);
+    /// The broadcast GEMM calls this once per output row and `KC × NC`
+    /// tile, with `rhs` starting at the tile's first element and `stride`
+    /// the right operand's row length. Rows are accumulated in ascending
+    /// `l`, and a zero alpha is skipped: its row is never read, so a
+    /// blown-up (`∞`/`NaN`) weight behind a ReLU zero cannot turn `0 · ∞`
+    /// into `NaN`. Every backend is therefore bit-identical to
+    /// `alphas.len()` sequential [`Kernel::axpy`] calls on that same
+    /// backend — the default body is exactly that loop — and SIMD
+    /// overrides differ only in keeping `out` in registers across the rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alphas` is non-empty and
+    /// `rhs.len() < (alphas.len() − 1)·stride + out.len()`.
+    fn axpy_panel(&self, alphas: &[R], rhs: &[R], stride: usize, out: &mut [R]) {
+        let n = out.len();
+        for (l, &alpha) in alphas.iter().enumerate() {
+            self.axpy(alpha, &rhs[l * stride..l * stride + n], out);
+        }
+    }
 
-    /// Whether the GEMMs should present work to this backend in quads
-    /// ([`Kernel::dot4`] / [`Kernel::axpy4`]) rather than one column/row at
-    /// a time.
+    /// Whether the tall-skinny GEMM should present work to this backend in
+    /// column quads ([`Kernel::dot4`]) rather than one column at a time.
     ///
-    /// SIMD backends say `true`: the quad forms amortize left-operand loads
-    /// and `out` traffic across register-blocked accumulator chains. The
+    /// SIMD backends say `true`: the quad form amortizes left-operand loads
+    /// across register-blocked accumulator chains. The
     /// scalar reference says `false` — measured on the reference container,
     /// funneling four array-returning dot calls through one statement
     /// defeats LLVM's scalar-replacement + vectorization of the plain
@@ -179,13 +195,6 @@ impl<R: Real> Kernel<R> for ScalarKernel {
     }
 
     #[inline(always)]
-    fn axpy4(&self, alphas: [R; 4], xs: [&[R]; 4], out: &mut [R]) {
-        for j in 0..4 {
-            self.axpy(alphas[j], xs[j], out);
-        }
-    }
-
-    #[inline(always)]
     fn quad_blocked(&self) -> bool {
         false
     }
@@ -254,9 +263,10 @@ impl Kernel<f32> for Avx2Kernel {
         unsafe { avx2::axpy_f32(alpha, x, out) }
     }
 
-    fn axpy4(&self, alphas: [f32; 4], xs: [&[f32]; 4], out: &mut [f32]) {
-        // SAFETY: as above.
-        unsafe { avx2::axpy4_f32(alphas, xs, out) }
+    fn axpy_panel(&self, alphas: &[f32], rhs: &[f32], stride: usize, out: &mut [f32]) {
+        check_panel(alphas.len(), rhs.len(), stride, out.len());
+        // SAFETY: as above; `check_panel` bounds every row the body reads.
+        unsafe { avx2::axpy_panel_f32(alphas, rhs, stride, out) }
     }
 
     fn mix_accum(
@@ -297,9 +307,10 @@ impl Kernel<f64> for Avx2Kernel {
         unsafe { avx2::axpy_f64(alpha, x, out) }
     }
 
-    fn axpy4(&self, alphas: [f64; 4], xs: [&[f64]; 4], out: &mut [f64]) {
-        // SAFETY: as above.
-        unsafe { avx2::axpy4_f64(alphas, xs, out) }
+    fn axpy_panel(&self, alphas: &[f64], rhs: &[f64], stride: usize, out: &mut [f64]) {
+        check_panel(alphas.len(), rhs.len(), stride, out.len());
+        // SAFETY: as above; `check_panel` bounds every row the body reads.
+        unsafe { avx2::axpy_panel_f64(alphas, rhs, stride, out) }
     }
 
     fn mix_accum(
@@ -314,6 +325,21 @@ impl Kernel<f64> for Avx2Kernel {
         // SAFETY: as above.
         unsafe { avx2::mix_accum_f64(bi, bq, cos, sin, i_out, q_out) }
     }
+}
+
+/// The bound [`Kernel::axpy_panel`] documents: `k` rows of `n` elements,
+/// `stride` apart, must fit in `rhs_len`.
+#[cfg(target_arch = "x86_64")]
+fn check_panel(k: usize, rhs_len: usize, stride: usize, n: usize) {
+    let fits = k == 0
+        || (k - 1)
+            .checked_mul(stride)
+            .and_then(|start| start.checked_add(n))
+            .is_some_and(|end| end <= rhs_len);
+    assert!(
+        fits,
+        "axpy_panel: rhs holds fewer than alphas.len() rows of out.len()"
+    );
 }
 
 /// Off `x86_64` the type still exists (so generic code and the parity
@@ -336,10 +362,6 @@ impl<R: Real> Kernel<R> for Avx2Kernel {
 
     fn axpy(&self, alpha: R, x: &[R], out: &mut [R]) {
         ScalarKernel.axpy(alpha, x, out);
-    }
-
-    fn axpy4(&self, alphas: [R; 4], xs: [&[R]; 4], out: &mut [R]) {
-        ScalarKernel.axpy4(alphas, xs, out);
     }
 }
 
@@ -722,78 +744,127 @@ mod avx2 {
         }
     }
 
-    /// f32 `out += Σ_j alphas[j] · xs[j]`: one `out` load/store per four
-    /// fused multiply-adds.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy4_f32(alphas: [f32; 4], xs: [&[f32]; 4], out: &mut [f32]) {
-        let n = xs.iter().fold(out.len(), |acc, x| acc.min(x.len()));
-        let va = [
-            _mm256_set1_ps(alphas[0]),
-            _mm256_set1_ps(alphas[1]),
-            _mm256_set1_ps(alphas[2]),
-            _mm256_set1_ps(alphas[3]),
-        ];
-        let xp = [
-            xs[0].as_ptr(),
-            xs[1].as_ptr(),
-            xs[2].as_ptr(),
-            xs[3].as_ptr(),
-        ];
-        let op = out.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            let mut o = _mm256_loadu_ps(op.add(i));
-            for j in 0..4 {
-                o = _mm256_fmadd_ps(va[j], _mm256_loadu_ps(xp[j].add(i)), o);
+    /// Nonzero alphas compacted per batch: one `KC`-deep GEMM tile.
+    const PANEL: usize = 64;
+
+    /// Emits the `axpy_panel` body for one precision: `$sweep::<V>` holds
+    /// `V` vectors of `out` in registers while every compacted row is
+    /// fused into them, and the body walks `out` in 8-vector chunks, one
+    /// `V = 1..=7` chunk for the rest, then the `n mod lanes` tail with
+    /// the same unfused multiply + add as [`axpy_f32`]/[`axpy_f64`].
+    macro_rules! axpy_panel {
+        ($name:ident, $sweep:ident, $t:ty, $lanes:expr,
+         $zero:ident, $set1:ident, $load:ident, $store:ident, $fmadd:ident) => {
+            /// `out += Σ_l alphas[l] · rhs[l·stride..]` (see
+            /// [`super::Kernel::axpy_panel`]); bitwise equal to sequential
+            /// axpys.
+            ///
+            /// # Safety
+            ///
+            /// AVX2+FMA must be available, and every row must lie in
+            /// `rhs`: `(alphas.len() − 1)·stride + out.len() ≤ rhs.len()`
+            /// (`super::check_panel`).
+            #[target_feature(enable = "avx2", enable = "fma")]
+            pub unsafe fn $name(alphas: &[$t], rhs: &[$t], stride: usize, out: &mut [$t]) {
+                let n = out.len();
+                let body = n - n % $lanes;
+                let (rp, op) = (rhs.as_ptr(), out.as_mut_ptr());
+                let mut a = [0.0 as $t; PANEL];
+                let mut rows = [0usize; PANEL];
+                for (batch, chunk) in alphas.chunks(PANEL).enumerate() {
+                    // Branch-free compaction: ReLU zeros follow no pattern
+                    // a branch predictor could learn.
+                    let mut nz = 0;
+                    for (j, &alpha) in chunk.iter().enumerate() {
+                        a[nz] = alpha;
+                        rows[nz] = (batch * PANEL + j) * stride;
+                        nz += usize::from(alpha != 0.0);
+                    }
+                    let (a, rows) = (&a[..nz], &rows[..nz]);
+                    if a.is_empty() {
+                        continue;
+                    }
+                    let mut c = 0;
+                    while c + 8 * $lanes <= body {
+                        $sweep::<8>(a, rows, rp, op, c);
+                        c += 8 * $lanes;
+                    }
+                    match (body - c) / $lanes {
+                        0 => {}
+                        1 => $sweep::<1>(a, rows, rp, op, c),
+                        2 => $sweep::<2>(a, rows, rp, op, c),
+                        3 => $sweep::<3>(a, rows, rp, op, c),
+                        4 => $sweep::<4>(a, rows, rp, op, c),
+                        5 => $sweep::<5>(a, rows, rp, op, c),
+                        6 => $sweep::<6>(a, rows, rp, op, c),
+                        _ => $sweep::<7>(a, rows, rp, op, c),
+                    }
+                    for c in body..n {
+                        let mut o = out[c];
+                        for (&alpha, &row) in a.iter().zip(rows) {
+                            o += alpha * rhs[row + c];
+                        }
+                        out[c] = o;
+                    }
+                }
             }
-            _mm256_storeu_ps(op.add(i), o);
-            i += 8;
-        }
-        while i < n {
-            let mut o = out[i];
-            for j in 0..4 {
-                o += alphas[j] * xs[j][i];
+
+            /// `V` vectors of `out` from column `c`, fused with every row.
+            ///
+            /// # Safety
+            ///
+            /// AVX2+FMA must be available; `op[c..c + V·lanes]` and, for
+            /// each compacted row offset, `rp[row + c..row + c + V·lanes]`
+            /// must be in bounds.
+            #[inline]
+            #[target_feature(enable = "avx2", enable = "fma")]
+            unsafe fn $sweep<const V: usize>(
+                a: &[$t],
+                rows: &[usize],
+                rp: *const $t,
+                op: *mut $t,
+                c: usize,
+            ) {
+                let mut acc = [$zero(); V];
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    *acc = $load(op.add(c + v * $lanes));
+                }
+                for (&alpha, &row) in a.iter().zip(rows) {
+                    let va = $set1(alpha);
+                    let x = rp.add(row + c);
+                    for (v, acc) in acc.iter_mut().enumerate() {
+                        *acc = $fmadd(va, $load(x.add(v * $lanes)), *acc);
+                    }
+                }
+                for (v, acc) in acc.iter().enumerate() {
+                    $store(op.add(c + v * $lanes), *acc);
+                }
             }
-            out[i] = o;
-            i += 1;
-        }
+        };
     }
 
-    /// f64 `out += Σ_j alphas[j] · xs[j]`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy4_f64(alphas: [f64; 4], xs: [&[f64]; 4], out: &mut [f64]) {
-        let n = xs.iter().fold(out.len(), |acc, x| acc.min(x.len()));
-        let va = [
-            _mm256_set1_pd(alphas[0]),
-            _mm256_set1_pd(alphas[1]),
-            _mm256_set1_pd(alphas[2]),
-            _mm256_set1_pd(alphas[3]),
-        ];
-        let xp = [
-            xs[0].as_ptr(),
-            xs[1].as_ptr(),
-            xs[2].as_ptr(),
-            xs[3].as_ptr(),
-        ];
-        let op = out.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let mut o = _mm256_loadu_pd(op.add(i));
-            for j in 0..4 {
-                o = _mm256_fmadd_pd(va[j], _mm256_loadu_pd(xp[j].add(i)), o);
-            }
-            _mm256_storeu_pd(op.add(i), o);
-            i += 4;
-        }
-        while i < n {
-            let mut o = out[i];
-            for j in 0..4 {
-                o += alphas[j] * xs[j][i];
-            }
-            out[i] = o;
-            i += 1;
-        }
-    }
+    axpy_panel!(
+        axpy_panel_f32,
+        sweep_f32,
+        f32,
+        8,
+        _mm256_setzero_ps,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_fmadd_ps
+    );
+    axpy_panel!(
+        axpy_panel_f64,
+        sweep_f64,
+        f64,
+        4,
+        _mm256_setzero_pd,
+        _mm256_set1_pd,
+        _mm256_loadu_pd,
+        _mm256_storeu_pd,
+        _mm256_fmadd_pd
+    );
 
     /// f32 carrier mix-accumulate (see [`super::Kernel::mix_accum`]).
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -910,18 +981,25 @@ mod tests {
     }
 
     #[test]
-    fn scalar_axpy4_is_sequential_axpys() {
-        let xs: Vec<Vec<f64>> = (0..4)
-            .map(|j| (0..9).map(|i| (i + j) as f64 * 0.5).collect())
-            .collect();
+    fn scalar_axpy_panel_is_sequential_axpys() {
+        // Four rows of stride 11, each read as a 9-wide segment.
+        let rhs: Vec<f64> = (0..3 * 11 + 9).map(|i| i as f64 * 0.5).collect();
         let alphas = [0.5, -1.0, 0.0, 2.0];
         let mut fused = vec![1.0; 9];
         let mut seq = vec![1.0; 9];
-        ScalarKernel.axpy4(alphas, [&xs[0], &xs[1], &xs[2], &xs[3]], &mut fused);
-        for j in 0..4 {
-            ScalarKernel.axpy(alphas[j], &xs[j], &mut seq);
+        ScalarKernel.axpy_panel(&alphas, &rhs, 11, &mut fused);
+        for (l, &alpha) in alphas.iter().enumerate() {
+            ScalarKernel.axpy(alpha, &rhs[l * 11..l * 11 + 9], &mut seq);
         }
         assert_eq!(fused, seq);
+    }
+
+    #[test]
+    #[should_panic]
+    fn axpy_panel_rejects_a_short_rhs() {
+        let mut out = [0.0f64; 4];
+        // Two rows of stride 4 need 8 elements.
+        <f64 as Real>::kernel().axpy_panel(&[1.0, 1.0], &[0.0; 7], 4, &mut out);
     }
 
     #[test]
