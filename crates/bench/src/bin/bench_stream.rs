@@ -32,16 +32,13 @@
 //!   listener;
 //! * `--metrics-json PATH` — write the JSON export of the same snapshot;
 //! * `--trace-json PATH` — write the **flight recorder** export: every
-//!   variant's stage spans and typed trace events as Chrome Trace Event
+//!   variant's stage spans and point events as Chrome Trace Event
 //!   Format JSON, one process per engine variant (tid 0 = the engine's
 //!   stage track, tid 1+w = pool worker `w`'s task track), loadable in
 //!   Perfetto / `chrome://tracing`.
 //!
 //! Flags: `--threads N[,M…]` (pooled worker counts; `--threads 0` disables
-//! pooled rows), `--assert-synth-share PCT` (fail the run if synthesis
-//! exceeds PCT percent of the per-cycle stage time on any serial row of the
-//! dispatched backend — the CI guard that vectorized synthesis stays out of
-//! the dominant-stage regime), and `--drift` (append fault-injection
+//! pooled rows) and `--drift` (append fault-injection
 //! robustness rows: the adaptive engine's cycles/s under an active centroid
 //! drift plus its
 //! rounds-to-detect and rounds-to-recover, per precision, serial and pooled,
@@ -106,11 +103,6 @@ struct Args {
     metrics_json: Option<String>,
     /// Write the Chrome-trace flight-recorder export here.
     trace_json: Option<String>,
-    /// `--assert-synth-share PCT`: fail the run if synthesis exceeds this
-    /// percentage of the measured per-cycle stage time on any serial row of
-    /// the dispatched backend. CI uses it to pin that vectorized synthesis
-    /// stays out of the dominant-stage regime.
-    assert_synth_share: Option<f64>,
 }
 
 /// Parses the command line. `--threads 2,4` wins over
@@ -122,7 +114,6 @@ fn parse_args() -> Args {
     let mut serve_text = ServeText::Off;
     let mut metrics_json = None;
     let mut trace_json = None;
-    let mut assert_synth_share = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -154,24 +145,10 @@ fn parse_args() -> Args {
                 i += 1;
                 trace_json = Some(argv.get(i).expect("--trace-json requires a path").clone());
             }
-            "--assert-synth-share" => {
-                i += 1;
-                let pct: f64 = argv
-                    .get(i)
-                    .expect("--assert-synth-share requires a percentage, e.g. 80")
-                    .parse()
-                    .expect("--assert-synth-share must be a number");
-                assert!(
-                    (0.0..=100.0).contains(&pct),
-                    "--assert-synth-share must be in 0..=100"
-                );
-                assert_synth_share = Some(pct);
-            }
             other => {
                 panic!(
                     "unknown argument {other:?} (supported: --threads N[,M…], --drift, \
-                     --serve-text [ADDR], --metrics-json PATH, --trace-json PATH, \
-                     --assert-synth-share PCT)"
+                     --serve-text [ADDR], --metrics-json PATH, --trace-json PATH)"
                 )
             }
         }
@@ -202,7 +179,6 @@ fn parse_args() -> Args {
         serve_text,
         metrics_json,
         trace_json,
-        assert_synth_share,
     }
 }
 
@@ -261,7 +237,6 @@ impl TraceSink {
             );
         }
         self.chrome.add_spans(pid, 0, &spans);
-        self.chrome.add_instants(pid, 0, &telem.trace().snapshot());
         if let Some(t) = pool_telem {
             let tasks = t.spans().snapshot();
             assert!(
@@ -442,13 +417,12 @@ where
         );
     }
 
-    // Flight-recorder export: the drift variant's stage spans plus its
-    // typed engine events and alert fire/clear instants on the same track.
-    let telem = engine.telemetry();
+    // Flight-recorder export: the drift variant's stage spans and point
+    // events, plus the alert fire/clear points, on the same track.
     let pid = sink.alloc_pid(&label);
-    sink.chrome.add_spans(pid, 0, &telem.spans().snapshot());
-    sink.chrome.add_instants(pid, 0, &telem.trace().snapshot());
-    sink.chrome.add_instants(pid, 0, &alerts.trace().snapshot());
+    sink.chrome
+        .add_spans(pid, 0, &engine.telemetry().spans().snapshot());
+    sink.chrome.add_spans(pid, 0, &alerts.trace().snapshot());
 
     let since_onset = |round: Option<u64>| round.map_or(-1, |r| (r - onset) as i64);
     DriftRow {
@@ -686,46 +660,6 @@ fn main() {
                 row.logical_errors,
             );
             rows.push(row);
-        }
-    }
-
-    // `--assert-synth-share`: pin how dominant the synthesis stage is.
-    // Serial rows of the dispatched backend only — pooled rows report the
-    // *exposed* synth latency (pipelining hides most of it), and the scalar
-    // reference rows exist precisely to show the unvectorized cost. The
-    // asserted quantity is the **mean** share across those rows: the
-    // non-synth stages are only microseconds per cycle, so a single row's
-    // share carries a few points of run-to-run jitter, while the mean over
-    // both precisions and every distance separates the vectorized regime
-    // (~93 %) from the pre-vectorization one (~99 %) with real margin.
-    if let Some(limit) = args.assert_synth_share {
-        let dispatched = active_kernel_name();
-        let mut shares = Vec::new();
-        for r in rows
-            .iter()
-            .filter(|r| r.threads == 1 && r.kernel == dispatched)
-        {
-            let total = (r.synth_ns + r.discriminate_ns + r.syndrome_ns + r.decode_ns) as f64;
-            let share = 100.0 * r.synth_ns as f64 / total.max(1.0);
-            eprintln!(
-                "[bench_stream] synth share d={}/{}: {share:.1}%",
-                r.distance, r.precision
-            );
-            shares.push(share);
-        }
-        if !shares.is_empty() {
-            let mean = shares.iter().sum::<f64>() / shares.len() as f64;
-            eprintln!(
-                "[bench_stream] mean synth share over {} serial {dispatched} rows: \
-                 {mean:.1}% (limit {limit}%)",
-                shares.len()
-            );
-            assert!(
-                mean <= limit,
-                "synth averages {mean:.1}% of the serial {dispatched} cycle (> {limit}%): \
-                 vectorized synthesis regressed back toward the pre-vectorization \
-                 dominant-stage regime"
-            );
         }
     }
 

@@ -23,8 +23,9 @@
 //!   with weighted union + path compression, boundary absorption,
 //!   spanning-forest peeling, and exact re-matching of small interaction
 //!   groups — no defect-count ceiling, near-linear cost;
-//! * [`window`] — sliding-window streaming decode: commit clusters `lag`
-//!   rounds behind the stream, defer seam-straddling clusters wholesale;
+//! * [`window`] — sliding-window streaming decode: commit groups
+//!   `max(lag, d + 1)` rounds behind the stream, defer seam-straddling
+//!   groups wholesale;
 //! * [`logical`] — Monte-Carlo logical-error-rate estimation;
 //! * [`cycle`] — the surface-code syndrome-extraction cycle-time model with
 //!   Google-like and IBM-like gate sets (Fig. 14(b)).

@@ -313,7 +313,7 @@ fn decode_inner(graph: &DecodingGraph, events: &[DetectionEvent], scratch: &mut 
 /// most `min(dist_west, dist_east) ≤ (d + 1) / 2`, so a direct pairing can
 /// only tie or beat two independent resolutions when the pair is at most
 /// `d + 1` apart — beyond the radius, per-group refinement loses nothing.
-fn interaction_radius(graph: &DecodingGraph) -> usize {
+pub(crate) fn interaction_radius(graph: &DecodingGraph) -> usize {
     graph.distance() + 1
 }
 

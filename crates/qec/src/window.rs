@@ -2,10 +2,10 @@
 //!
 //! A [`SlidingWindowDecoder`] consumes detection events round by round and
 //! decodes *behind* the stream: when round `t` arrives it runs union-find
-//! over everything still buffered and **commits** every cluster whose
-//! spanning tree stays at rounds `≤ t − w` (`w` = the configured lag),
-//! accumulating the committed clusters' west parity and dropping their
-//! events. Clusters that reach past the commit horizon are deferred
+//! over everything still buffered and **commits** every interaction group
+//! whose events all sit at rounds `≤ t − w` (`w` = the commit depth,
+//! below), accumulating the committed groups' west parity and dropping
+//! their events. Clusters that reach past the commit horizon are deferred
 //! wholesale — kept in the buffer, in arrival order, for re-decoding once
 //! more rounds have arrived. Deferring whole clusters (instead of cutting
 //! them at the seam) is the window-boundary handling: a cluster is only
@@ -13,12 +13,16 @@
 //! cannot merge into it, so no artificial boundary ever splits a match.
 //!
 //! [`SlidingWindowDecoder::finish`] decodes the remaining buffer without a
-//! horizon and returns the block's totals. As long as every committed
-//! cluster is one the whole-block decode would also have formed — true
-//! whenever event clusters are separated by at least the lag, which the lag
-//! is chosen to make overwhelmingly likely — the streamed outcome is
-//! *identical* to [`crate::uf::decode_events`] over the full block;
-//! `herqles-stream`'s parity tests pin this on long multi-window streams.
+//! horizon and returns the block's totals. The streamed outcome equals
+//! [`crate::uf::decode_events`] over the full block only if every committed
+//! group is one the whole-block decode also forms. Union-find refinement
+//! links events up to the interaction radius `d + 1` apart, so the commit
+//! depth is `w = max(lag, d + 1)`: an event arriving later cannot reach
+//! back into a committed group through the radius. Groups also join through
+//! a shared grown cluster, whose reach has no such bound; the seeded
+//! long-stream sweeps in `uf_parity.rs` and `herqles-stream`'s parity tests
+//! pin the equality. A consequence: a block of at most `d + 1` rounds
+//! commits nothing before `finish`.
 //!
 //! All rounds are absolute block rounds: events are never rebased, the
 //! decoding graph spans the whole block, and the caller owns both the graph
@@ -27,14 +31,14 @@
 
 use crate::graph::DecodingGraph;
 use crate::syndrome::DetectionEvent;
-use crate::uf::{decode_events, decode_events_commit, UnionFindScratch};
+use crate::uf::{decode_events, decode_events_commit, interaction_radius, UnionFindScratch};
 
 /// Streaming window state for one block. Reused across blocks via
 /// [`SlidingWindowDecoder::reset`]; buffers keep their capacity.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowDecoder {
-    /// Commit lag `w`: with round `t` fed, clusters confined to rounds
-    /// `≤ t − w` commit.
+    /// Configured commit lag: with round `t` fed, groups confined to rounds
+    /// `≤ t − max(lag, d + 1)` commit.
     lag: usize,
     /// Uncommitted events, in arrival order.
     buf: Vec<DetectionEvent>,
@@ -75,7 +79,8 @@ impl SlidingWindowDecoder {
         self.keep.reserve(cap.saturating_sub(self.keep.capacity()));
     }
 
-    /// The configured commit lag.
+    /// The configured commit lag (the commit depth is never below the
+    /// interaction radius `d + 1`).
     pub fn lag(&self) -> usize {
         self.lag
     }
@@ -117,13 +122,14 @@ impl SlidingWindowDecoder {
     }
 
     /// Round `t` has fully arrived: decode the buffer and commit clusters
-    /// confined to rounds `≤ t − lag`. No-op until the stream is `lag`
-    /// rounds deep or while nothing is buffered.
+    /// confined to rounds `≤ t − max(lag, d + 1)`. No-op until the stream
+    /// is that many rounds deep or while nothing is buffered.
     pub fn advance(&mut self, t: usize, graph: &DecodingGraph, scratch: &mut UnionFindScratch) {
-        if t < self.lag || self.buf.is_empty() {
+        let reach = self.lag.max(interaction_radius(graph));
+        if t < reach || self.buf.is_empty() {
             return;
         }
-        let horizon = t - self.lag;
+        let horizon = t - reach;
         self.keep.clear();
         let (west, clusters) =
             decode_events_commit(graph, &self.buf, horizon, scratch, &mut self.keep);

@@ -18,6 +18,22 @@ use surface_code::{
     RotatedSurfaceCode, SyndromeBlock, SyndromeSim, UnionFindScratch, EXACT_MATCHING_LIMIT,
 };
 
+/// Seeded streams per (distance, lag, noise point) in the long-stream sweep.
+const SEEDS_PER_LAG: u64 = 24;
+
+/// `(p_data, p_meas)` points of the long-stream sweep: sparse, the benchmark
+/// streams' rate, that rate with the decode corpus's 1 % measurement error,
+/// the invariant sweep's dense data rate, and that with 3 % measurement
+/// error. A commit depth of only `lag` diverges from whole-block decode at
+/// the two dense points (and at d = 11 at the stream rate).
+const NOISE_POINTS: [(f64, f64); 5] = [
+    (0.001, 0.001),
+    (0.004, 0.004),
+    (0.004, 0.01),
+    (0.012, 0.012),
+    (0.012, 0.03),
+];
+
 #[test]
 fn union_find_matches_exact_logical_error_on_all_small_blocks() {
     let mut exercised = 0usize;
@@ -89,6 +105,38 @@ fn union_find_is_deterministic_across_event_orderings() {
     }
 }
 
+/// Streams one seeded block through `wd` round by round, advancing after
+/// every round as the engine does. Returns the streamed west count, the
+/// whole-block union-find west count of the same events, and the number of
+/// groups committed ahead of the block end; leaves `wd` reset.
+fn stream_block(
+    code: &RotatedSurfaceCode,
+    graph: &DecodingGraph,
+    noise: &NoiseParams,
+    wd: &mut SlidingWindowDecoder,
+    uf: &mut UnionFindScratch,
+    rng: &mut StdRng,
+) -> (usize, usize, usize) {
+    let rounds = graph.layers() - 1;
+    let mut sim = SyndromeSim::new(code, noise);
+    sim.reserve_rounds(rounds);
+    let mut fed = 0usize;
+    for t in 0..rounds {
+        sim.step_round(rng);
+        wd.push_events(&sim.events()[fed..]);
+        fed = sim.events().len();
+        wd.advance(t, graph, uf);
+    }
+    sim.finish_perfect_round();
+    wd.push_events(&sim.events()[fed..]);
+    let streamed = wd.finish(graph, uf);
+    let committed = wd.committed_clusters();
+    wd.reset();
+    let block = sim.into_block();
+    let whole = surface_code::uf::decode_events(graph, &block.events, uf);
+    (streamed, whole, committed)
+}
+
 #[test]
 fn sliding_window_matches_whole_block_across_seeds() {
     // Long multi-window streams: the streamed commit-behind decode must land
@@ -97,44 +145,72 @@ fn sliding_window_matches_whole_block_across_seeds() {
     let mut committed_total = 0usize;
     for d in [3usize, 5, 7] {
         let code = RotatedSurfaceCode::new(d);
-        let rounds = 50;
-        let lag = d;
         let noise = NoiseParams {
             data_error_prob: 0.004,
             meas_error_prob: 0.004,
         };
-        let graph = DecodingGraph::new(&code, rounds);
+        let graph = DecodingGraph::new(&code, 50);
         let mut uf = UnionFindScratch::for_graph(&graph);
-        let mut wd = SlidingWindowDecoder::new(lag);
+        let mut wd = SlidingWindowDecoder::new(d);
         wd.reserve_for(&graph);
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(seed * 31 + d as u64);
-            let mut sim = SyndromeSim::new(&code, &noise);
-            sim.reserve_rounds(rounds);
-            let mut fed = 0usize;
-            for t in 0..rounds {
-                sim.step_round(&mut rng);
-                wd.push_events(&sim.events()[fed..]);
-                fed = sim.events().len();
-                wd.advance(t, &graph, &mut uf);
-            }
-            sim.finish_perfect_round();
-            wd.push_events(&sim.events()[fed..]);
-            let streamed = wd.finish(&graph, &mut uf);
-            committed_total += wd.committed_clusters();
-            let block = sim.into_block();
-            let whole = surface_code::uf::decode_events(&graph, &block.events, &mut uf);
+            let (streamed, whole, committed) =
+                stream_block(&code, &graph, &noise, &mut wd, &mut uf, &mut rng);
+            committed_total += committed;
             assert_eq!(
                 streamed, whole,
                 "d={d} seed={seed}: streamed west count diverged from whole-block"
             );
-            wd.reset();
         }
     }
     assert!(
         committed_total > 50,
         "streams committed only {committed_total} clusters ahead of block end"
     );
+}
+
+#[test]
+fn sliding_window_matches_whole_block_at_every_lag_up_to_d11() {
+    // Lags below, at and above the interaction radius d + 1, on streams of
+    // 4d rounds: the commit depth max(lag, d + 1) must keep every streamed
+    // decode equal to the whole-block one, and every (d, lag) pair must
+    // still commit ahead of the block end. At d = 11 only the sparse noise
+    // point commits anything: at the denser ones, events within the radius
+    // chain through the whole 44-round block, so it is one interaction
+    // group.
+    for d in [3usize, 5, 7, 9, 11] {
+        let code = RotatedSurfaceCode::new(d);
+        let rounds = 4 * d;
+        let graph = DecodingGraph::new(&code, rounds);
+        let mut uf = UnionFindScratch::for_graph(&graph);
+        for lag in [1, 2, 3, d + 2] {
+            let mut wd = SlidingWindowDecoder::new(lag);
+            wd.reserve_for(&graph);
+            let mut committed_total = 0usize;
+            for (data_error_prob, meas_error_prob) in NOISE_POINTS {
+                let noise = NoiseParams {
+                    data_error_prob,
+                    meas_error_prob,
+                };
+                for seed in 0..SEEDS_PER_LAG {
+                    let mut rng = StdRng::seed_from_u64(0x57_1DE ^ (seed << 8) ^ (d << 4) as u64);
+                    let (streamed, whole, committed) =
+                        stream_block(&code, &graph, &noise, &mut wd, &mut uf, &mut rng);
+                    committed_total += committed;
+                    assert_eq!(
+                        streamed, whole,
+                        "d={d} rounds={rounds} lag={lag} \
+                         p={data_error_prob}/{meas_error_prob} seed={seed}: streamed west count diverged from whole-block"
+                    );
+                }
+            }
+            assert!(
+                committed_total > 0,
+                "d={d} lag={lag}: {rounds}-round streams never committed ahead of the block end"
+            );
+        }
+    }
 }
 
 #[test]

@@ -178,7 +178,7 @@ pub struct EngineStats {
     /// the engine's [`EngineTelemetry`] histograms. All-zero while telemetry
     /// is disabled or before the first cycle.
     pub latency: StageLatency,
-    /// Trace/span-ring events lost to overwrite
+    /// Flight-recorder records lost to overwrite
     /// ([`EngineTelemetry::dropped_events`]): nonzero means the flight
     /// recorder's history no longer reaches back to the first event.
     pub trace_dropped: u64,
@@ -417,8 +417,8 @@ impl BlockDecoder<'_> {
     }
 
     /// Feeds the rounds committed so far into the sliding window and commits
-    /// every cluster confined behind the lag; an overrun latches into the
-    /// block's degraded stamp. No-op outside window mode.
+    /// every group confined behind the commit depth; an overrun latches into
+    /// the block's degraded stamp. No-op outside window mode.
     fn advance_window(
         &mut self,
         sim: &SyndromeSim<'_>,
@@ -537,7 +537,7 @@ pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     cycle_begin_ns: u64,
     /// Minimum consumed rounds between hot-swaps.
     recal_cooldown: u64,
-    /// Latency histograms, counters and the event trace. Enabled by
+    /// Latency histograms, counters and the flight recorder. Enabled by
     /// default; recording is allocation-free.
     telem: EngineTelemetry,
 }
@@ -708,14 +708,14 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     }
 
     /// Switches the engine to sliding-window streaming decode: every
-    /// consumed round feeds the union-find window, and clusters confined
-    /// `lag` rounds behind the stream commit while later rounds are still
-    /// being synthesized; the cycle's end only resolves the remainder.
-    /// Cycle outcomes match whole-block mode (pinned at d ≤ 5 by
-    /// `tests/decode_modes.rs` and `tests/invariants.rs`); the difference
-    /// is *when* the decode work happens. A co-optimal tie can still leave
-    /// the window a different `west_matches` count with the same logical
-    /// verdict. Call between cycles, not mid-block.
+    /// consumed round feeds the union-find window, and groups confined
+    /// `max(lag, d + 1)` rounds behind the stream commit while later rounds
+    /// are still being synthesized; the cycle's end only resolves the
+    /// remainder. A cycle of at most `d + 1` rounds therefore commits
+    /// nothing before its end. Cycle outcomes match whole-block mode
+    /// (pinned at d ≤ 7 by `tests/decode_modes.rs` and
+    /// `tests/invariants.rs`); the difference is *when* the decode work
+    /// happens. Call between cycles, not mid-block.
     ///
     /// # Panics
     ///
@@ -793,7 +793,7 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         Some(outcome)
     }
 
-    /// The engine's telemetry bundle (histograms, counters, event trace).
+    /// The engine's telemetry bundle (histograms, counters, flight recorder).
     pub fn telemetry(&self) -> &EngineTelemetry {
         &self.telem
     }
@@ -807,7 +807,7 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     }
 
     /// Enables or disables telemetry recording (enabled by default). While
-    /// disabled the engine skips every histogram/counter/trace touch;
+    /// disabled the engine skips every histogram/counter/ring touch;
     /// [`EngineStats::latency`] stops refreshing.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
         self.telem.set_enabled(enabled);
@@ -840,7 +840,6 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         self.decoder.begin_block();
         self.in_flight = StageNanos::default();
         self.cycle_begin_ns = now_ns();
-        self.telem.note_cycle_begin(self.totals.cycles);
         for t in 0..=self.cfg.rounds {
             if t < self.cfg.rounds {
                 self.prepare_back_round(t);

@@ -1,5 +1,5 @@
 //! The engine's observability surface: latency histograms, counters and the
-//! event trace, bundled as [`EngineTelemetry`].
+//! flight recorder, bundled as [`EngineTelemetry`].
 //!
 //! Every [`crate::CycleEngine`] owns one `EngineTelemetry`. By default it is
 //! *unregistered* — private histograms and counters the engine records into
@@ -25,10 +25,11 @@
 //! | `herqles_hot_swaps_total` | counter | — |
 //! | `herqles_trace_dropped_events` | gauge | — |
 //!
-//! Beyond the aggregate view, every engine carries a flight recorder: a
+//! Beyond the aggregate view, every engine carries a flight recorder: one
 //! [`SpanRing`] of causal stage spans (begin timestamp + duration + track)
-//! recorded from the same zero-alloc hot path, drainable into the
-//! [`herqles_telemetry::ChromeTrace`] exporter. [`demo_alert_rules`]
+//! and point events (health transitions, degraded decodes, hot-swaps,
+//! recalibrations) recorded from the same zero-alloc hot path, drainable
+//! into the [`herqles_telemetry::ChromeTrace`] exporter. [`demo_alert_rules`]
 //! provides the reference SLO alert set evaluated by `bench_stream` and
 //! the `qec_stream` example.
 
@@ -36,17 +37,12 @@ use std::sync::Arc;
 
 use herqles_telemetry::registry::Scope;
 use herqles_telemetry::{
-    AlertCondition, AlertRule, Counter, EventKind, Gauge, Histogram, Quantile, SpanKind, SpanRing,
-    TraceRing,
+    now_ns, AlertCondition, AlertRule, Counter, Gauge, Histogram, Quantile, SpanKind, SpanRing,
 };
 use surface_code::decoder::DecodeOutcome;
 
 use crate::engine::CycleStats;
 use crate::health::HealthStatus;
-
-/// Trace-ring capacity of an engine: roughly seven events per cycle, so 4096
-/// slots retain the last ~580 cycles.
-const TRACE_CAPACITY: usize = 4096;
 
 /// Span-ring capacity of an engine: four stage spans per round plus three
 /// per cycle, so 8192 slots retain the last ~60–250 cycles at d ∈ {3..9}.
@@ -80,7 +76,7 @@ impl LatencySummary {
 }
 
 /// Per-stage latency percentiles over an engine's lifetime (or since the
-/// last [`EngineTelemetry::clear`]). All values in nanoseconds per cycle.
+/// last [`EngineTelemetry::clear_latency`]). All values in nanoseconds per cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageLatency {
     /// Waveform synthesis.
@@ -95,7 +91,8 @@ pub struct StageLatency {
     pub cycle: LatencySummary,
 }
 
-/// Maps a [`HealthStatus`] onto the stable `u64` payload trace events carry.
+/// Maps a [`HealthStatus`] onto the stable `u64` payload of a
+/// [`SpanKind::HealthTransition`] record.
 fn health_arg(status: HealthStatus) -> u64 {
     match status {
         HealthStatus::Nominal => 0,
@@ -106,11 +103,11 @@ fn health_arg(status: HealthStatus) -> u64 {
 
 /// The telemetry bundle one engine records into: five latency histograms
 /// (per stage + whole cycle), six lifetime counters mirroring
-/// [`crate::EngineStats`], and the event [`TraceRing`].
+/// [`crate::EngineStats`], and the flight-recorder [`SpanRing`].
 ///
 /// Recording is allocation-free; building ([`EngineTelemetry::new`] /
 /// [`EngineTelemetry::registered`]) and draining
-/// ([`EngineTelemetry::trace`]'s snapshot) are control-plane.
+/// ([`EngineTelemetry::spans`]'s snapshot) are control-plane.
 #[derive(Debug)]
 pub struct EngineTelemetry {
     enabled: bool,
@@ -125,10 +122,9 @@ pub struct EngineTelemetry {
     degraded_decodes: Arc<Counter>,
     health_transitions: Arc<Counter>,
     hot_swaps: Arc<Counter>,
-    /// Ring-overwrite loss across `trace` + `spans`, refreshed per cycle so
-    /// a scrape sees overflow instead of silence.
+    /// Ring-overwrite loss of `spans`, refreshed per cycle so a scrape sees
+    /// overflow instead of silence.
     dropped_events: Arc<Gauge>,
-    trace: TraceRing,
     spans: SpanRing,
 }
 
@@ -157,7 +153,6 @@ impl EngineTelemetry {
             health_transitions: Arc::new(Counter::new()),
             hot_swaps: Arc::new(Counter::new()),
             dropped_events: Arc::new(Gauge::new()),
-            trace: TraceRing::new(TRACE_CAPACITY),
             spans: SpanRing::new(SPAN_CAPACITY),
         }
     }
@@ -207,10 +202,9 @@ impl EngineTelemetry {
             ),
             dropped_events: scope.gauge(
                 "herqles_trace_dropped_events",
-                "Trace/span ring events lost to overwrite",
+                "Flight-recorder ring events lost to overwrite",
                 &[],
             ),
-            trace: TraceRing::new(TRACE_CAPACITY),
             spans: SpanRing::new(SPAN_CAPACITY),
         }
     }
@@ -221,33 +215,28 @@ impl EngineTelemetry {
     }
 
     /// Enables or disables recording. Disabled telemetry skips every
-    /// histogram/counter/trace touch on the hot path (the A/B arm of
+    /// histogram/counter/ring touch on the hot path (the A/B arm of
     /// `tests/overhead.rs`).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
 
-    /// The event trace.
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
-    }
-
-    /// The flight recorder's stage-span ring (track 0 = the engine's stage
-    /// lane; see [`herqles_telemetry::SpanEvent`]).
+    /// The flight recorder: stage spans and point events (track 0 = the
+    /// engine's stage lane; see [`herqles_telemetry::SpanEvent`]).
     pub fn spans(&self) -> &SpanRing {
         &self.spans
     }
 
-    /// Events lost to ring overwrite, trace + spans combined. Grows once
-    /// either ring wraps — surfaced as the `herqles_trace_dropped_events`
-    /// gauge and in [`crate::EngineStats::summary`].
+    /// Flight-recorder records lost to ring overwrite. Grows once the ring
+    /// wraps — surfaced as the `herqles_trace_dropped_events` gauge and in
+    /// [`crate::EngineStats::summary`].
     pub fn dropped_events(&self) -> u64 {
-        self.trace.dropped() + self.spans.dropped()
+        self.spans.dropped()
     }
 
     /// Resets the five latency histograms (e.g. after warm-up, so reported
-    /// percentiles cover only measured cycles). Counters and the trace keep
-    /// their lifetime totals.
+    /// percentiles cover only measured cycles). Counters and the flight
+    /// recorder keep their lifetime totals.
     pub fn clear_latency(&self) {
         self.synth.clear();
         self.discriminate.clear();
@@ -268,16 +257,9 @@ impl EngineTelemetry {
         }
     }
 
-    /// Stamps a cycle's start into the trace. Allocation-free.
-    pub(crate) fn note_cycle_begin(&self, cycle_index: u64) {
-        if self.enabled {
-            self.trace.record(EventKind::CycleBegin, cycle_index);
-        }
-    }
-
-    /// Folds one finished cycle into the histograms, counters and trace:
-    /// stage spans, the cycle span, outcome counters, and any health
-    /// transition observed during the cycle. Allocation-free.
+    /// Folds one finished cycle into the histograms and counters, and
+    /// stamps a point record for a health transition or a degraded decode
+    /// observed during the cycle. Allocation-free.
     pub(crate) fn observe_cycle(
         &self,
         cycle_index: u64,
@@ -301,19 +283,12 @@ impl EngineTelemetry {
         self.degraded_decodes.add(u64::from(outcome.degraded));
         self.health_transitions.add(transitions_delta);
 
-        self.trace.record(EventKind::StageSynth, stage.synth);
-        self.trace
-            .record(EventKind::StageDiscriminate, stage.discriminate);
-        self.trace.record(EventKind::StageSyndrome, stage.syndrome);
-        self.trace.record(EventKind::StageDecode, stage.decode);
         if transitions_delta > 0 {
-            self.trace
-                .record(EventKind::HealthTransition, health_arg(stats.health));
+            self.note_point(SpanKind::HealthTransition, health_arg(stats.health));
         }
         if outcome.degraded {
-            self.trace.record(EventKind::DegradedDecode, cycle_index);
+            self.note_point(SpanKind::DegradedDecode, cycle_index);
         }
-        self.trace.record(EventKind::CycleEnd, cycle_index);
         self.dropped_events.set(self.dropped_events() as f64);
     }
 
@@ -326,19 +301,24 @@ impl EngineTelemetry {
         }
     }
 
+    /// Stamps a point record of `kind` on the stage track, now.
+    fn note_point(&self, kind: SpanKind, arg: u64) {
+        self.spans.record(kind, 0, now_ns(), 0, arg);
+    }
+
     /// Stamps a discriminator hot-swap (`arg` = lifetime swap count after
     /// the swap) and bumps the swap counter. Allocation-free.
     pub(crate) fn note_hot_swap(&self, swap_count: u64) {
         if self.enabled {
             self.hot_swaps.inc();
-            self.trace.record(EventKind::HotSwap, swap_count);
+            self.note_point(SpanKind::HotSwap, swap_count);
         }
     }
 
     /// Stamps an adaptive retrain that produced a new calibration.
     pub(crate) fn note_recal_trained(&self, cycle_index: u64) {
         if self.enabled {
-            self.trace.record(EventKind::RecalTrained, cycle_index);
+            self.note_point(SpanKind::RecalTrained, cycle_index);
         }
     }
 
@@ -346,7 +326,7 @@ impl EngineTelemetry {
     /// harvest).
     pub(crate) fn note_recal_declined(&self, cycle_index: u64) {
         if self.enabled {
-            self.trace.record(EventKind::RecalDeclined, cycle_index);
+            self.note_point(SpanKind::RecalDeclined, cycle_index);
         }
     }
 }
@@ -447,38 +427,39 @@ mod tests {
     #[test]
     fn observe_cycle_populates_everything() {
         let t = EngineTelemetry::new();
-        t.note_cycle_begin(0);
-        t.observe_cycle(0, &stats(100), &outcome(), 1);
+        t.observe_cycle(7, &stats(100), &outcome(), 1);
         let lat = t.stage_latency();
         assert_eq!(lat.synth.p50, 100);
         assert_eq!(lat.decode.max, 400);
         assert_eq!(lat.cycle.p50, 1000);
-        let events = t.trace().snapshot();
-        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        // Stage timings live in the histograms (and the engine's own stage
+        // spans); the ring gets only the cycle's point events.
+        let events = t.spans().snapshot();
+        let kinds: Vec<SpanKind> = events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
-            vec![
-                EventKind::CycleBegin,
-                EventKind::StageSynth,
-                EventKind::StageDiscriminate,
-                EventKind::StageSyndrome,
-                EventKind::StageDecode,
-                EventKind::HealthTransition,
-                EventKind::DegradedDecode,
-                EventKind::CycleEnd,
-            ]
+            vec![SpanKind::HealthTransition, SpanKind::DegradedDecode]
         );
-        assert_eq!(events[5].arg, health_arg(HealthStatus::Degraded));
+        assert_eq!(events[0].arg, health_arg(HealthStatus::Degraded));
+        assert_eq!(events[1].arg, 7);
+        assert!(events.iter().all(|e| e.track == 0 && e.dur_ns == 0));
+        assert!(events[0].ts_ns <= events[1].ts_ns);
+
+        // A quiet cycle records no point events.
+        t.observe_cycle(8, &stats(100), &clean_outcome(), 0);
+        assert_eq!(t.spans().recorded(), 2);
     }
 
     #[test]
     fn disabled_telemetry_records_nothing() {
         let mut t = EngineTelemetry::new();
         t.set_enabled(false);
-        t.note_cycle_begin(0);
         t.observe_cycle(0, &stats(100), &outcome(), 1);
         t.note_hot_swap(1);
-        assert_eq!(t.trace().recorded(), 0);
+        t.note_recal_trained(0);
+        t.note_recal_declined(0);
+        t.note_span(SpanKind::Synth, 0, 1, 0);
+        assert_eq!(t.spans().recorded(), 0);
         assert_eq!(t.stage_latency(), StageLatency::default());
     }
 

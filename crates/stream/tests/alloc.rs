@@ -185,14 +185,9 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     );
 
     // Telemetry is enabled by default, so every probe above already ran with
-    // histogram recording, counter bumps, trace stamping, flight-recorder
-    // span recording and the per-cycle percentile refresh inside the
-    // zero-allocation window. Make that explicit: the engines really were
-    // recording.
-    assert!(
-        serial.telemetry().trace().recorded() > 0,
-        "default-on telemetry must have traced the probed cycles"
-    );
+    // histogram recording, counter bumps, flight-recorder span recording
+    // and the per-cycle percentile refresh inside the zero-allocation
+    // window. Make that explicit: the engines really were recording.
     assert!(
         serial.telemetry().spans().recorded() > 0,
         "default-on span tracing must have recorded stage spans"

@@ -1,5 +1,5 @@
 //! Seeded cross-mode invariant sweep. A fixed, seeded list of engine
-//! configurations — distance d ∈ {3, 5}, a 1-, 2- or 4-thread pool, f64 or
+//! configurations — distance d ∈ {3, 5, 7}, a 1-, 2- or 4-thread pool, f64 or
 //! f32 pipeline, whole-block / sliding-window (lag 2–3) / offloaded decode,
 //! with or without a seeded drift [`FaultPlan`] — must all stream the same
 //! thing:
@@ -144,7 +144,7 @@ where
     let pools = THREADS.map(ShardPool::new);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut drawn = [false; THREADS.len()];
-    for distance in [3usize, 5] {
+    for distance in [3usize, 5, 7] {
         let code = RotatedSurfaceCode::new(distance);
         let cfg = CycleConfig {
             rounds: distance + 3,

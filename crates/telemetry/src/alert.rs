@@ -8,9 +8,10 @@
 //! consecutive evaluations before it fires (transient spikes don't page),
 //! and once firing it must sit below the hysteresis band for
 //! `clear_evals` consecutive evaluations before it clears (no
-//! flapping at the threshold). Transitions stamp typed
-//! [`AlertFiring`](EventKind::AlertFiring) /
-//! [`AlertCleared`](EventKind::AlertCleared) events into a trace ring, and
+//! flapping at the threshold). Transitions stamp
+//! [`AlertFiring`](SpanKind::AlertFiring) /
+//! [`AlertCleared`](SpanKind::AlertCleared) point records into a
+//! [`SpanRing`], and
 //! each rule can publish its state as a registered gauge
 //! (`0` ok, `1` pending, `2` firing).
 //!
@@ -19,7 +20,8 @@
 
 use crate::hist::HistogramSummary;
 use crate::registry::{Gauge, MetricSnapshot, MetricValue, RegistrySnapshot, Scope};
-use crate::trace::{EventKind, TraceRing};
+use crate::span::{SpanKind, SpanRing};
+use crate::time::now_ns;
 use std::sync::Arc;
 
 /// Which scalar of a histogram summary a quantile rule reads.
@@ -238,11 +240,11 @@ pub struct RuleStatus {
 #[derive(Debug)]
 pub struct AlertEngine {
     rules: Vec<RuleState>,
-    trace: TraceRing,
+    trace: SpanRing,
     evaluations: u64,
 }
 
-/// Trace-ring capacity for alert transitions: alerts are rare events, a
+/// Ring capacity for alert transitions: alerts are rare events, a
 /// small ring keeps plenty of history.
 const ALERT_TRACE_CAPACITY: usize = 256;
 
@@ -297,7 +299,7 @@ impl AlertEngine {
             .collect();
         AlertEngine {
             rules,
-            trace: TraceRing::new(ALERT_TRACE_CAPACITY),
+            trace: SpanRing::new(ALERT_TRACE_CAPACITY),
             evaluations: 0,
         }
     }
@@ -323,7 +325,8 @@ impl AlertEngine {
                             rs.pending = 0;
                             rs.clearing = 0;
                             rs.fired += 1;
-                            self.trace.record(EventKind::AlertFiring, idx as u64);
+                            self.trace
+                                .record(SpanKind::AlertFiring, 0, now_ns(), 0, idx as u64);
                             transitions += 1;
                         } else {
                             rs.state = AlertState::Pending;
@@ -340,7 +343,8 @@ impl AlertEngine {
                             rs.state = AlertState::Ok;
                             rs.clearing = 0;
                             rs.cleared += 1;
-                            self.trace.record(EventKind::AlertCleared, idx as u64);
+                            self.trace
+                                .record(SpanKind::AlertCleared, 0, now_ns(), 0, idx as u64);
                             transitions += 1;
                         }
                     } else {
@@ -362,10 +366,10 @@ impl AlertEngine {
         self.evaluations
     }
 
-    /// The trace ring alert transitions are stamped into
-    /// ([`EventKind::AlertFiring`] / [`EventKind::AlertCleared`]; `arg` =
-    /// rule index).
-    pub fn trace(&self) -> &TraceRing {
+    /// The ring alert transitions are stamped into as point records on
+    /// track 0 ([`SpanKind::AlertFiring`] / [`SpanKind::AlertCleared`];
+    /// `arg` = rule index).
+    pub fn trace(&self) -> &SpanRing {
         &self.trace
     }
 
@@ -503,11 +507,12 @@ mod tests {
         assert_eq!(s.fired, 1);
         assert_eq!(s.cleared, 1);
 
-        // The transitions are on the trace ring, in order.
+        // The transitions are point records on the alert ring, in order.
         let events = engine.trace().snapshot();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::AlertFiring);
-        assert_eq!(events[1].kind, EventKind::AlertCleared);
+        assert_eq!(events[0].kind, SpanKind::AlertFiring);
+        assert_eq!(events[1].kind, SpanKind::AlertCleared);
+        assert!(events.iter().all(|e| e.dur_ns == 0 && e.arg == 0));
     }
 
     #[test]

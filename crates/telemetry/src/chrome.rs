@@ -1,9 +1,10 @@
 //! Chrome Trace Event Format export for ring snapshots.
 //!
-//! [`ChromeTrace`] renders [`SpanEvent`]s and [`TraceEvent`]s as the JSON
-//! object format understood by Perfetto and `chrome://tracing`: spans
-//! become `"X"` (complete) events with microsecond `ts`/`dur`, point
-//! events become `"I"` (instant) events, and `"M"` metadata events name
+//! [`ChromeTrace`] renders [`SpanEvent`]s as the JSON object format
+//! understood by Perfetto and `chrome://tracing`: spans become `"X"`
+//! (complete) events with microsecond `ts`/`dur`, point kinds
+//! ([`SpanKind::is_point`](crate::SpanKind::is_point)) become `"I"`
+//! (instant) events, and `"M"` metadata events name
 //! the processes and threads so the track layout is self-describing.
 //! Convention used by the streaming engine: one *process* (`pid`) per
 //! engine, `tid 0` for the engine's stage track, `tid 1 + worker` for
@@ -17,25 +18,14 @@
 use std::fmt::Write as _;
 
 use crate::span::SpanEvent;
-use crate::trace::TraceEvent;
 
-/// One renderable event, normalized from spans/instants/metadata.
+/// One renderable entry: a ring record on a display track, or metadata.
 #[derive(Debug, Clone)]
 enum Entry {
-    Complete {
-        name: &'static str,
+    Record {
         pid: u32,
         tid: u32,
-        ts_ns: u64,
-        dur_ns: u64,
-        arg: u64,
-    },
-    Instant {
-        name: &'static str,
-        pid: u32,
-        tid: u32,
-        ts_ns: u64,
-        arg: u64,
+        record: SpanEvent,
     },
     ProcessName {
         pid: u32,
@@ -81,40 +71,25 @@ impl ChromeTrace {
         });
     }
 
-    /// Adds a span snapshot under process `pid`: each span renders as an
-    /// `"X"` complete event on display thread `tid_base + span.track`.
+    /// Adds a ring snapshot under process `pid` on display thread
+    /// `tid_base + record.track`: a point kind renders as an `"I"` instant
+    /// event, every other kind as an `"X"` complete event. The choice is by
+    /// kind, not by `dur_ns == 0`, so a stage that timed at 0 ns still
+    /// renders as a span.
     pub fn add_spans(&mut self, pid: u32, tid_base: u32, spans: &[SpanEvent]) {
-        for s in spans {
-            self.entries.push(Entry::Complete {
-                name: s.kind.label(),
+        self.entries
+            .extend(spans.iter().map(|&record| Entry::Record {
                 pid,
-                tid: tid_base.saturating_add(s.track),
-                ts_ns: s.ts_ns,
-                dur_ns: s.dur_ns,
-                arg: s.arg,
-            });
-        }
-    }
-
-    /// Adds a point-event snapshot under `(pid, tid)`: each trace event
-    /// renders as an `"I"` instant event.
-    pub fn add_instants(&mut self, pid: u32, tid: u32, events: &[TraceEvent]) {
-        for e in events {
-            self.entries.push(Entry::Instant {
-                name: e.kind.label(),
-                pid,
-                tid,
-                ts_ns: e.ts_ns,
-                arg: e.arg,
-            });
-        }
+                tid: tid_base.saturating_add(record.track),
+                record,
+            }));
     }
 
     /// Renderable (non-metadata) events accumulated so far.
     pub fn event_count(&self) -> usize {
         self.entries
             .iter()
-            .filter(|e| matches!(e, Entry::Complete { .. } | Entry::Instant { .. }))
+            .filter(|e| matches!(e, Entry::Record { .. }))
             .count()
     }
 
@@ -130,12 +105,7 @@ impl ChromeTrace {
             // Metadata first (ts 0), then events laid out per track.
             Entry::ProcessName { pid, .. } => (0u8, *pid, 0u32, 0u64),
             Entry::ThreadName { pid, tid, .. } => (0, *pid, *tid, 0),
-            Entry::Complete {
-                pid, tid, ts_ns, ..
-            } => (1, *pid, *tid, *ts_ns),
-            Entry::Instant {
-                pid, tid, ts_ns, ..
-            } => (1, *pid, *tid, *ts_ns),
+            Entry::Record { pid, tid, record } => (1, *pid, *tid, record.ts_ns),
         });
 
         let mut out = String::with_capacity(64 + sorted.len() * 96);
@@ -145,37 +115,23 @@ impl ChromeTrace {
                 out.push(',');
             }
             match entry {
-                Entry::Complete {
-                    name,
-                    pid,
-                    tid,
-                    ts_ns,
-                    dur_ns,
-                    arg,
-                } => {
+                Entry::Record { pid, tid, record } => {
                     out.push_str("{\"name\":");
-                    push_json_string(&mut out, name);
-                    let _ = write!(
-                        out,
-                        ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"arg\":{arg}}}}}",
-                        MicroNs(*ts_ns),
-                        MicroNs(*dur_ns),
-                    );
-                }
-                Entry::Instant {
-                    name,
-                    pid,
-                    tid,
-                    ts_ns,
-                    arg,
-                } => {
-                    out.push_str("{\"name\":");
-                    push_json_string(&mut out, name);
-                    let _ = write!(
-                        out,
-                        ",\"ph\":\"I\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"args\":{{\"arg\":{arg}}}}}",
-                        MicroNs(*ts_ns),
-                    );
+                    push_json_string(&mut out, record.kind.label());
+                    let ts = MicroNs(record.ts_ns);
+                    if record.kind.is_point() {
+                        let _ = write!(
+                            out,
+                            ",\"ph\":\"I\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}"
+                        );
+                    } else {
+                        let _ = write!(
+                            out,
+                            ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{}",
+                            MicroNs(record.dur_ns)
+                        );
+                    }
+                    let _ = write!(out, ",\"args\":{{\"arg\":{}}}}}", record.arg);
                 }
                 Entry::ProcessName { pid, name } => {
                     let _ = write!(
@@ -240,7 +196,6 @@ fn push_json_string(out: &mut String, s: &str) {
 mod tests {
     use super::*;
     use crate::span::{SpanKind, SpanRing};
-    use crate::trace::{EventKind, TraceRing};
 
     #[test]
     fn renders_complete_events_with_metadata() {
@@ -265,8 +220,8 @@ mod tests {
 
     #[test]
     fn renders_instants_and_sorts_per_track() {
-        let ring = TraceRing::new(8);
-        ring.record(EventKind::HotSwap, 1);
+        let ring = SpanRing::new(8);
+        ring.record(SpanKind::HotSwap, 0, 5_000, 0, 1);
         let mut trace = ChromeTrace::new();
         // Out-of-order spans on one track must come out ts-sorted.
         trace.add_spans(
@@ -291,12 +246,34 @@ mod tests {
                 },
             ],
         );
-        trace.add_instants(0, 0, &ring.snapshot());
+        trace.add_spans(0, 0, &ring.snapshot());
         let json = trace.to_json();
         assert!(json.contains("\"ph\":\"I\""));
         let synth = json.find("\"name\":\"synth\"").expect("synth present");
+        let swap = json
+            .find("\"name\":\"hot_swap\"")
+            .expect("hot_swap present");
         let decode = json.find("\"name\":\"decode\"").expect("decode present");
-        assert!(synth < decode, "per-track events must be ts-sorted");
+        assert!(
+            synth < swap && swap < decode,
+            "per-track events must be ts-sorted"
+        );
+    }
+
+    #[test]
+    fn renders_by_kind_not_by_duration() {
+        let ring = SpanRing::new(4);
+        ring.record(SpanKind::HealthTransition, 0, 2_000, 0, 1);
+        ring.record(SpanKind::Synth, 0, 3_000, 0, 0);
+        let mut trace = ChromeTrace::new();
+        trace.add_spans(0, 0, &ring.snapshot());
+        let json = trace.to_json();
+        assert!(json.contains(
+            "{\"name\":\"health_transition\",\"ph\":\"I\",\"s\":\"t\",\"pid\":0,\"tid\":0,\"ts\":2,"
+        ));
+        assert!(json
+            .contains("{\"name\":\"synth\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":3,\"dur\":0,"));
+        assert_eq!(trace.event_count(), 2);
     }
 
     #[test]

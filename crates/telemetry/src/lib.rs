@@ -14,28 +14,28 @@
 //!   either. [`Histogram::merge`] folds shards together;
 //!   [`Histogram::snapshot`] takes a consistent-enough copy for offline
 //!   analysis.
-//! * [`TraceRing`] — a lock-free fixed-capacity ring of typed
-//!   [`TraceEvent`]s (cycle begin/end, stage spans, health transitions,
-//!   hot-swaps, …) with monotonic-clock timestamps and sequence numbers.
-//!   [`TraceRing::record`] never blocks the hot path;
-//!   [`TraceRing::snapshot_into`] drains an ordered snapshot off it.
 //! * [`Registry`] — named counters/gauges/histograms with label sets.
 //!   Registration (setup time) allocates; the returned [`Counter`],
 //!   [`Gauge`] and [`Histogram`] handles are `Arc`s recorded into without
 //!   ever touching the registry again. [`Registry::scope`] pins a label set
 //!   (e.g. `engine="d5-f32-t4"`) — the seam a multi-tenant fleet hangs
 //!   per-tenant views on.
-//! * [`SpanRing`] — the flight-recorder companion to the trace ring: each
-//!   [`SpanEvent`] carries a begin timestamp, duration and *track id*
-//!   (stage lane, pool worker, …) under the same torn-write-safe stamp
-//!   protocol, so causal timelines can be reconstructed exactly.
-//! * [`ChromeTrace`] — renders span/trace snapshots as Chrome Trace Event
-//!   Format JSON (`"X"` complete events, `"M"` track metadata) loadable in
-//!   Perfetto or `chrome://tracing`.
+//! * [`SpanRing`] — the flight recorder: a lock-free fixed-capacity ring
+//!   of [`SpanEvent`]s, each with a begin timestamp, duration and *track
+//!   id* (stage lane, pool worker, …) so causal timelines can be
+//!   reconstructed exactly. Point events (health transitions, hot-swaps,
+//!   alert fire/clear, …) are records of a point [`SpanKind`] with zero
+//!   duration. [`SpanRing::record`] never blocks the hot path;
+//!   [`SpanRing::snapshot_into`] drains an ordered, torn-write-free
+//!   snapshot off it.
+//! * [`ChromeTrace`] — renders ring snapshots as Chrome Trace Event Format
+//!   JSON (`"X"` complete events for spans, `"I"` instants for point
+//!   kinds, `"M"` track metadata) loadable in Perfetto or
+//!   `chrome://tracing`.
 //! * [`AlertEngine`] — declarative [`AlertRule`]s (quantile threshold,
 //!   counter rate, gauge bound) evaluated over successive
-//!   [`RegistrySnapshot`]s with hold/hysteresis debounce, firing typed
-//!   trace events and per-rule state gauges.
+//!   [`RegistrySnapshot`]s with hold/hysteresis debounce, stamping
+//!   fire/clear point records and per-rule state gauges.
 //! * Exporters — [`RegistrySnapshot::to_prometheus_text`] (text exposition
 //!   format) and [`RegistrySnapshot::to_json`] render the *same* snapshot,
 //!   so the two views can never disagree.
@@ -69,7 +69,6 @@ pub mod hist;
 pub mod registry;
 pub mod span;
 pub mod time;
-pub mod trace;
 
 pub use alert::{AlertCondition, AlertEngine, AlertRule, AlertState, Quantile, RuleStatus};
 pub use chrome::ChromeTrace;
@@ -77,4 +76,3 @@ pub use hist::{Histogram, HistogramSnapshot, HistogramSummary};
 pub use registry::{Counter, Gauge, MetricValue, Registry, RegistrySnapshot, Scope};
 pub use span::{SpanEvent, SpanKind, SpanRing};
 pub use time::{duration_ns, now_ns, StageTimer};
-pub use trace::{EventKind, TraceEvent, TraceRing};

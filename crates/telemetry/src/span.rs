@@ -1,15 +1,16 @@
-//! Causal span tracing: begin-timestamp + duration + track id per event.
+//! The flight recorder's one ring: spans and point events, each with a
+//! begin timestamp, a duration and a track id.
 //!
-//! [`TraceRing`](crate::TraceRing) answers *what happened* (typed point
-//! events with one payload word); reconstructing *when exactly, on which
-//! lane* needs more: a span carries its begin timestamp, its duration, and
-//! a track id (engine stage lane, pool worker id, …) so a flight-recorder
-//! export can lay concurrent work out on parallel tracks. [`SpanRing`]
-//! keeps the last *capacity* such spans using the same torn-write-safe
-//! stamp protocol as the trace ring — recording is one atomic sequence
-//! claim plus five relaxed stores, no locks, no allocation — so the
-//! streaming engine and the shard pool can stamp every stage and every
-//! fan-out task from the zero-alloc hot path.
+//! A span carries its begin timestamp, its duration, and a track id (engine
+//! stage lane, pool worker id, …) so a flight-recorder export can lay
+//! concurrent work out on parallel tracks. A *point* event (health
+//! transition, hot-swap, alert fire/clear, …) is the same record with a
+//! point [`SpanKind`] and `dur_ns = 0`, timestamped by the caller with
+//! [`now_ns`](crate::time::now_ns). [`SpanRing`] keeps the last *capacity*
+//! records under a torn-write-safe stamp protocol — recording is one
+//! atomic sequence claim plus five relaxed stores, no locks, no allocation
+//! — so the streaming engine and the shard pool can stamp every stage and
+//! every fan-out task from the zero-alloc hot path.
 
 use std::sync::atomic::{
     AtomicU64,
@@ -17,7 +18,9 @@ use std::sync::atomic::{
 };
 
 /// What a [`SpanEvent`] covers. Discriminants are stable (stored as the low
-/// half of a packed `u64` inside the ring).
+/// half of a packed `u64` inside the ring). Kinds 0–6 are spans; from
+/// [`SpanKind::HealthTransition`] on they are point events (see
+/// [`SpanKind::is_point`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanKind {
@@ -38,6 +41,26 @@ pub enum SpanKind {
     Task = 5,
     /// Free-form user span; `arg` is caller-defined.
     Custom = 6,
+    /// Point: the health monitor adopted a new status; `arg` = new status
+    /// (0 nominal, 1 degraded, 2 critical).
+    HealthTransition = 7,
+    /// Point: a recalibrated discriminator was atomically published; `arg`
+    /// = lifetime hot-swap count after the swap.
+    HotSwap = 8,
+    /// Point: a block decode overran its real-time budget; `arg` = cycle
+    /// index.
+    DegradedDecode = 9,
+    /// Point: an adaptive discriminator retrained successfully; `arg` =
+    /// cycle index.
+    RecalTrained = 10,
+    /// Point: an adaptive discriminator declined to retrain (e.g.
+    /// single-class harvest); `arg` = cycle index.
+    RecalDeclined = 11,
+    /// Point: an alert rule transitioned to firing; `arg` = rule index in
+    /// its [`AlertEngine`](crate::alert::AlertEngine).
+    AlertFiring = 12,
+    /// Point: a firing alert rule cleared; `arg` = rule index.
+    AlertCleared = 13,
 }
 
 impl SpanKind {
@@ -51,8 +74,22 @@ impl SpanKind {
             4 => SpanKind::Cycle,
             5 => SpanKind::Task,
             6 => SpanKind::Custom,
+            7 => SpanKind::HealthTransition,
+            8 => SpanKind::HotSwap,
+            9 => SpanKind::DegradedDecode,
+            10 => SpanKind::RecalTrained,
+            11 => SpanKind::RecalDeclined,
+            12 => SpanKind::AlertFiring,
+            13 => SpanKind::AlertCleared,
             _ => return None,
         })
+    }
+
+    /// Whether this kind marks an instant rather than an interval. Point
+    /// records are written with `dur_ns = 0`; exporters decide by kind,
+    /// never by duration, because a fast stage can time at 0 ns.
+    pub fn is_point(self) -> bool {
+        self as u8 >= SpanKind::HealthTransition as u8
     }
 
     /// Stable label for exporters and logs.
@@ -65,6 +102,13 @@ impl SpanKind {
             SpanKind::Cycle => "cycle",
             SpanKind::Task => "task",
             SpanKind::Custom => "custom",
+            SpanKind::HealthTransition => "health_transition",
+            SpanKind::HotSwap => "hot_swap",
+            SpanKind::DegradedDecode => "degraded_decode",
+            SpanKind::RecalTrained => "recal_trained",
+            SpanKind::RecalDeclined => "recal_declined",
+            SpanKind::AlertFiring => "alert_firing",
+            SpanKind::AlertCleared => "alert_cleared",
         }
     }
 }
@@ -82,7 +126,7 @@ pub struct SpanEvent {
     /// Begin timestamp: monotonic ns since the process
     /// [`epoch`](crate::time::epoch).
     pub ts_ns: u64,
-    /// Span duration in ns.
+    /// Span duration in ns (0 for a point kind).
     pub dur_ns: u64,
     /// Span payload (see the [`SpanKind`] variants).
     pub arg: u64,
@@ -108,11 +152,10 @@ struct Slot {
     arg: AtomicU64,
 }
 
-/// Lock-free ring of the last `capacity` [`SpanEvent`]s. Same protocol as
-/// [`TraceRing`](crate::TraceRing): a writer claims a sequence with one
-/// `fetch_add`, marks the slot [`IN_PROGRESS`], stores the fields relaxed,
-/// then publishes the sequence as the stamp; the drain double-checks the
-/// stamp around its field reads and skips torn slots.
+/// Lock-free ring of the last `capacity` [`SpanEvent`]s. A writer claims a
+/// sequence with one `fetch_add`, marks the slot `IN_PROGRESS`, stores
+/// the fields relaxed, then publishes the sequence as the stamp; the drain
+/// double-checks the stamp around its field reads and skips torn slots.
 pub struct SpanRing {
     head: AtomicU64,
     mask: u64,
@@ -258,12 +301,13 @@ mod tests {
 
     #[test]
     fn kind_roundtrips_through_u64() {
-        for k in 0..=6u64 {
+        for k in 0..=13u64 {
             let kind = SpanKind::from_u64(k).expect("known discriminant");
             assert_eq!(kind as u64, k);
             assert!(!kind.label().is_empty());
+            assert_eq!(kind.is_point(), k >= 7, "{kind:?}");
         }
-        assert_eq!(SpanKind::from_u64(7), None);
+        assert_eq!(SpanKind::from_u64(14), None);
     }
 
     #[test]

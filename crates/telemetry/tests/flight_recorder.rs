@@ -1,20 +1,20 @@
-//! Flight-recorder integration tests: the span/trace rings under real
-//! multi-writer contention, and the alert engine's debounce lifecycle
-//! against a live registry.
+//! Flight-recorder integration tests: the ring under real multi-writer
+//! contention, and the alert engine's debounce lifecycle against a live
+//! registry.
 //!
-//! The ring stress tests encode a checkable relation into every event's
-//! fields (span: `dur = arg + 1`, `ts = arg`; trace: kind determined by
-//! `arg`'s parity) so a torn read — a snapshot observing one writer's
-//! timestamp with another writer's payload — is detectable as a relation
-//! violation, not just a statistical anomaly.
+//! The ring stress tests (mixed spans and point records, then point
+//! records alone) encode a checkable relation into every record's fields
+//! (`ts = arg`, kind and duration both functions of `arg`) so a torn read
+//! — a snapshot observing one writer's timestamp with another writer's
+//! payload — is detectable as a relation violation, not just a statistical
+//! anomaly.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
 use herqles_telemetry::{
-    AlertCondition, AlertEngine, AlertRule, AlertState, EventKind, Quantile, Registry, SpanKind,
-    SpanRing, TraceRing,
+    AlertCondition, AlertEngine, AlertRule, AlertState, Quantile, Registry, SpanKind, SpanRing,
 };
 
 const WRITERS: usize = 4;
@@ -22,13 +22,23 @@ const PER_WRITER: u64 = 5_000;
 /// Per-writer payload stride: writer `w` records args `w*STRIDE..w*STRIDE+N`.
 const STRIDE: u64 = 1_000_000;
 
+/// The record a writer stores for `arg`: even args are point records
+/// (zero duration), odd args are spans lasting `arg + 1` ns.
+fn kind_and_dur(arg: u64) -> (SpanKind, u64) {
+    if arg.is_multiple_of(2) {
+        (SpanKind::HealthTransition, 0)
+    } else {
+        (SpanKind::Task, arg + 1)
+    }
+}
+
 #[test]
 fn span_ring_survives_concurrent_writers_and_snapshots() {
     let ring = Arc::new(SpanRing::new(512));
     let stop = Arc::new(AtomicBool::new(false));
 
     // A reader hammers snapshot_into while writers race: every returned
-    // event must satisfy the field relations and sequences must be
+    // record must satisfy the field relations and sequences must be
     // strictly increasing within one snapshot.
     let reader = {
         let ring = Arc::clone(&ring);
@@ -40,14 +50,17 @@ fn span_ring_survives_concurrent_writers_and_snapshots() {
                 ring.snapshot_into(&mut buf);
                 let mut prev_seq = None;
                 for ev in &buf {
-                    assert_eq!(ev.ts_ns, ev.arg, "torn span: ts/arg mismatch");
-                    assert_eq!(ev.dur_ns, ev.arg + 1, "torn span: dur/arg mismatch");
+                    assert_eq!(ev.ts_ns, ev.arg, "torn record: ts/arg mismatch");
+                    assert_eq!(
+                        (ev.kind, ev.dur_ns),
+                        kind_and_dur(ev.arg),
+                        "torn record: kind/dur/arg mismatch"
+                    );
                     assert_eq!(
                         u64::from(ev.track),
                         ev.arg / STRIDE,
-                        "torn span: track/arg mismatch"
+                        "torn record: track/arg mismatch"
                     );
-                    assert_eq!(ev.kind, SpanKind::Task);
                     if let Some(p) = prev_seq {
                         assert!(ev.seq > p, "snapshot seqs must be strictly increasing");
                     }
@@ -66,7 +79,8 @@ fn span_ring_survives_concurrent_writers_and_snapshots() {
                 let base = w as u64 * STRIDE;
                 for i in 0..PER_WRITER {
                     let arg = base + i;
-                    ring.record(SpanKind::Task, w as u32, arg, arg + 1, arg);
+                    let (kind, dur) = kind_and_dur(arg);
+                    ring.record(kind, w as u32, arg, dur, arg);
                 }
             })
         })
@@ -78,7 +92,7 @@ fn span_ring_survives_concurrent_writers_and_snapshots() {
     let snapshots = reader.join().unwrap();
     assert!(snapshots > 0, "reader must have taken snapshots");
 
-    // Quiescent state: exactly WRITERS * PER_WRITER events were claimed,
+    // Quiescent state: exactly WRITERS * PER_WRITER records were claimed,
     // the ring holds the newest `capacity` of them, and the loss is
     // accounted by `dropped`.
     let total = WRITERS as u64 * PER_WRITER;
@@ -92,10 +106,20 @@ fn span_ring_survives_concurrent_writers_and_snapshots() {
     }
 }
 
+/// Point records only (the flight recorder's former trace traffic): a
+/// smaller ring so writers lap it constantly, with the record's kind
+/// determined by `arg`'s parity and its timestamp equal to `arg`.
 #[test]
 fn trace_ring_survives_concurrent_writers_and_snapshots() {
-    let ring = Arc::new(TraceRing::new(256));
+    let ring = Arc::new(SpanRing::new(256));
     let stop = Arc::new(AtomicBool::new(false));
+    let kind_of = |arg: u64| {
+        if arg.is_multiple_of(2) {
+            SpanKind::HealthTransition
+        } else {
+            SpanKind::DegradedDecode
+        }
+    };
 
     let reader = {
         let ring = Arc::clone(&ring);
@@ -106,12 +130,10 @@ fn trace_ring_survives_concurrent_writers_and_snapshots() {
                 ring.snapshot_into(&mut buf);
                 let mut prev_seq = None;
                 for ev in &buf {
-                    let want = if ev.arg.is_multiple_of(2) {
-                        EventKind::CycleBegin
-                    } else {
-                        EventKind::CycleEnd
-                    };
-                    assert_eq!(ev.kind, want, "torn trace event: kind/arg mismatch");
+                    assert!(ev.kind.is_point(), "point record read back as a span");
+                    assert_eq!(ev.kind, kind_of(ev.arg), "torn point: kind/arg mismatch");
+                    assert_eq!(ev.ts_ns, ev.arg, "torn point: ts/arg mismatch");
+                    assert_eq!(ev.dur_ns, 0, "torn point: nonzero duration");
                     if let Some(p) = prev_seq {
                         assert!(ev.seq > p, "snapshot seqs must be strictly increasing");
                     }
@@ -128,12 +150,7 @@ fn trace_ring_survives_concurrent_writers_and_snapshots() {
                 let base = w as u64 * STRIDE;
                 for i in 0..PER_WRITER {
                     let arg = base + i;
-                    let kind = if arg.is_multiple_of(2) {
-                        EventKind::CycleBegin
-                    } else {
-                        EventKind::CycleEnd
-                    };
-                    ring.record(kind, arg);
+                    ring.record(kind_of(arg), w as u32, arg, 0, arg);
                 }
             })
         })
@@ -205,9 +222,9 @@ fn alert_engine_fires_holds_and_clears_against_live_registry() {
     let status = &engine.statuses()[0];
     assert_eq!((status.fired, status.cleared), (1, 1));
 
-    // The lifecycle was stamped into the alert trace in order.
+    // The lifecycle was stamped into the alert ring in order.
     let kinds: Vec<_> = engine.trace().snapshot().iter().map(|e| e.kind).collect();
-    assert_eq!(kinds, vec![EventKind::AlertFiring, EventKind::AlertCleared]);
+    assert_eq!(kinds, vec![SpanKind::AlertFiring, SpanKind::AlertCleared]);
 
     // ...and mirrored into the registered per-rule state gauge.
     let snap = registry.snapshot();

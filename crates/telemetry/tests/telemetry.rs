@@ -1,9 +1,10 @@
 //! Integration pins for the telemetry primitives: histogram bucket
 //! exactness and quantile error bounds, merge equivalence, saturation,
-//! trace-ring wraparound/ordering, and exporter round-trip agreement.
+//! flight-recorder ring wraparound/ordering, and exporter round-trip
+//! agreement.
 
 use herqles_telemetry::hist::{bucket_bounds, bucket_index, RELATIVE_ERROR};
-use herqles_telemetry::{EventKind, Histogram, MetricValue, Registry, TraceRing};
+use herqles_telemetry::{Histogram, MetricValue, Registry, SpanKind, SpanRing};
 
 /// SplitMix64 — the repo's standard deterministic sample stream, inlined so
 /// the telemetry crate keeps zero dependencies.
@@ -136,32 +137,32 @@ fn merge_equals_interleaved_recording() {
 
 #[test]
 fn trace_ring_wraps_keeping_newest_in_order() {
-    let ring = TraceRing::new(8);
+    let ring = SpanRing::new(8);
     assert_eq!(ring.capacity(), 8);
     for i in 0..20u64 {
-        ring.record(EventKind::Custom, i);
+        ring.record(SpanKind::Custom, 0, 10 * i, 5, i);
     }
     assert_eq!(ring.recorded(), 20);
+    assert_eq!(ring.dropped(), 12);
     let events = ring.snapshot();
     assert_eq!(events.len(), 8, "ring keeps exactly the newest capacity");
     // The survivors are the last 8, in ascending sequence order, payloads
-    // intact, timestamps non-decreasing.
+    // intact.
     for (k, e) in events.iter().enumerate() {
-        assert_eq!(e.seq, 12 + k as u64);
-        assert_eq!(e.arg, 12 + k as u64);
-        assert_eq!(e.kind, EventKind::Custom);
+        let i = 12 + k as u64;
+        assert_eq!((e.seq, e.arg, e.ts_ns, e.dur_ns), (i, i, 10 * i, 5));
+        assert_eq!(e.kind, SpanKind::Custom);
     }
-    assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
 
     // Reusing the drain buffer does not grow it once warm.
     let mut buf = Vec::with_capacity(8);
     let n = ring.snapshot_into(&mut buf);
     assert_eq!(n, 8);
     let cap = buf.capacity();
-    ring.record(EventKind::HotSwap, 99);
+    ring.record(SpanKind::HotSwap, 0, 500, 0, 99);
     let _ = ring.snapshot_into(&mut buf);
     assert_eq!(buf.capacity(), cap);
-    assert_eq!(buf.last().map(|e| e.kind), Some(EventKind::HotSwap));
+    assert_eq!(buf.last().map(|e| e.kind), Some(SpanKind::HotSwap));
 }
 
 /// Pulls `name{labels...} value`-style sample values back out of both
@@ -241,11 +242,11 @@ fn hot_recording_paths_do_not_allocate_per_call() {
     // confirm quantile queries stay O(table) without growth by checking
     // snapshot sizes stay constant.
     let h = Histogram::new();
-    let ring = TraceRing::new(32);
+    let ring = SpanRing::new(32);
     let before = h.snapshot().bucket_counts().len();
     for i in 0..10_000u64 {
         h.record(i * 37 % 1_000_000);
-        ring.record(EventKind::Custom, i);
+        ring.record(SpanKind::Custom, 0, i, 1, i);
     }
     assert_eq!(h.snapshot().bucket_counts().len(), before);
     assert_eq!(ring.capacity(), 32);

@@ -110,7 +110,6 @@ fn main() {
         // track per worker (tid 1 + w; worker 0 is the calling thread).
         let pid = alloc_pid(&mut trace, &format!("qec_stream d{distance} serial"));
         trace.add_spans(pid, 0, &engine.telemetry().spans().snapshot());
-        trace.add_instants(pid, 0, &engine.telemetry().trace().snapshot());
         let pid = alloc_pid(&mut trace, &format!("qec_stream d{distance} pooled"));
         trace.add_spans(pid, 0, &parallel.telemetry().spans().snapshot());
         for w in 0..workers.workers() {
@@ -195,8 +194,7 @@ fn main() {
     // The alert lifecycle lands in the flight recorder too.
     let pid = alloc_pid(&mut trace, "qec_stream drifted");
     trace.add_spans(pid, 0, &drifted.telemetry().spans().snapshot());
-    trace.add_instants(pid, 0, &drifted.telemetry().trace().snapshot());
-    trace.add_instants(pid, 0, &alerts.trace().snapshot());
+    trace.add_spans(pid, 0, &alerts.trace().snapshot());
 
     std::fs::write("qec_stream.trace.json", trace.to_json()).expect("write trace");
     println!(
