@@ -1,12 +1,13 @@
 //! Lints a Prometheus text exposition file — or, in `--trace` mode, a
 //! Chrome Trace Event Format JSON export.
 //!
-//! CI observability smoke: `bench_stream --serve-text > metrics.prom` followed
-//! by `prom_lint metrics.prom herqles_cycle_latency_ns …` proves the
-//! telemetry registry's export both *parses* as the text format and *contains*
-//! the metric families the dashboards expect — under every kernel-dispatch
-//! arm the workflow runs. `bench_stream --trace-json trace.json` followed by
-//! `prom_lint --trace trace.json` does the same for the flight recorder.
+//! CI observability smoke: `bench_stream --serve-text --trace-json
+//! trace.json > metrics.prom` followed by `prom_lint metrics.prom
+//! herqles_cycle_latency_ns …` proves the telemetry registry's export both
+//! *parses* as the text format and *contains* the metric families the
+//! dashboards expect — under every kernel-dispatch arm the workflow runs —
+//! and `prom_lint --trace trace.json --min-spans 100` does the same for the
+//! flight recorder.
 //!
 //! Usage:
 //!

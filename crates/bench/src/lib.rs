@@ -99,9 +99,8 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 /// the dispatch already resolved to scalar — the caller's dispatched rows
 /// are the scalar rows and a duplicate measurement would be misleading.
 ///
-/// Both benchmark binaries use this to append scalar-reference rows next to
-/// their SIMD rows; centralizing the select/restore dance keeps them from
-/// drifting (e.g. one binary forgetting to restore).
+/// `bench_inference` uses this to append scalar-reference rows next to its
+/// SIMD rows.
 pub fn with_scalar_kernel<T>(f: impl FnOnce() -> T) -> Option<T> {
     let dispatched = active_kernel_name();
     if dispatched == "scalar" {
@@ -114,16 +113,15 @@ pub fn with_scalar_kernel<T>(f: impl FnOnce() -> T) -> Option<T> {
     Some(out)
 }
 
-/// Incremental builder for the `BENCH_*.json` documents.
+/// Incremental builder for the `BENCH_inference.json` document.
 ///
-/// Both benchmark binaries emit the same envelope — `benchmark` / `unit` /
-/// `cores` header fields, optional run parameters, then one or more arrays
-/// of pre-formatted row objects — and previously each hand-rolled the
-/// comma-placement and indentation. The builder owns that envelope; callers
-/// keep formatting their own row objects (the schemas genuinely differ).
+/// The builder owns the envelope — `benchmark` / `unit` / `cores` header
+/// fields, optional run parameters, then one or more arrays of
+/// pre-formatted row objects — with its comma placement and indentation;
+/// the caller formats its own row objects.
 ///
 /// Sections render in insertion order; `results` is a section like any
-/// other, so optional arrays (e.g. `drift`) can precede it.
+/// other, so optional arrays can precede it.
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     head: String,

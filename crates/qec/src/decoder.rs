@@ -48,11 +48,11 @@ pub struct DecodeOutcome {
     /// the residual error state flips the logical class).
     pub logical_error: bool,
     /// Whether decoding this block overran its real-time budget. The block
-    /// decoders themselves never set this: it is stamped by streaming
-    /// callers running sliding-window decode under a latency budget (see
-    /// `herqles-stream`'s `CycleEngine::set_decode_budget_ns`). The
-    /// historical meaning — "fell back to the greedy matcher" — is gone
-    /// along with the greedy matcher itself.
+    /// decoders themselves never set this: `herqles-stream`'s `CycleEngine`
+    /// stamps it when any decode step of the block — a sliding-window
+    /// advance or finish, the whole-block decode or an offloaded decode —
+    /// takes longer than the budget set by
+    /// `CycleEngine::set_decode_budget_ns`.
     pub degraded: bool,
 }
 

@@ -354,7 +354,7 @@ impl WindowState {
 }
 
 /// When a block's decode work happens. Logical verdicts are the same in
-/// every mode (see [`CycleEngine::set_sliding_window`] for the one caveat).
+/// every mode.
 enum DecodeMode {
     /// The whole block decodes when its cycle finishes.
     WholeBlock,
