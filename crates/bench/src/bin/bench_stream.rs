@@ -16,7 +16,10 @@
 //!   f32, serial and pooled) must detect an injected centroid drift,
 //!   hot-swap its discriminator, re-baseline to `Nominal`, and take the demo
 //!   SLO alert set ([`demo_alert_rules`]) through fire → clear. A variant
-//!   that misses any step panics.
+//!   that misses any step panics. Each drift engine and its alert engine
+//!   register on the same registry under an `engine="drift-…"` label, so
+//!   the exposition carries the loop's hot-swap and health-transition
+//!   counters and the alert state gauges.
 //!
 //! Exports, after the run:
 //!
@@ -44,7 +47,7 @@ use herqles_stream::{
     DriftEvent, EngineTelemetry, FaultPlan, HealthConfig, HealthStatus, PoolTelemetry, RecalConfig,
     ShardPool,
 };
-use herqles_telemetry::{AlertEngine, ChromeTrace, Registry, SpanKind};
+use herqles_telemetry::{AlertEngine, ChromeTrace, MetricValue, Registry, SpanKind};
 use readout_sim::ChipConfig;
 use surface_code::RotatedSurfaceCode;
 
@@ -248,16 +251,18 @@ fn run_variant<R: Real>(
 /// chip at d = 3, step both readout clouds by 0.3 of their ground/excited
 /// separation, then stream adaptively until the monitor re-baselines.
 ///
-/// The demo SLO alert set rides along: an [`AlertEngine`] over the
-/// variant's own registry is evaluated after every cycle, and once the
+/// The engine and the demo SLO alert set register on `registry` under the
+/// variant's `engine` label, and each rule reads only that label's series,
+/// so the other engines in the registry can neither fire nor hold its
+/// alerts. The [`AlertEngine`] is evaluated after every cycle, and once the
 /// engine has recovered the scenario keeps streaming quiet cycles until
-/// every alert has cleared.
+/// every alert has cleared. Returns the variant's label.
 ///
 /// # Panics
 ///
 /// Panics unless the monitor detects the drift, a hot-swap re-baselines it
 /// to `Nominal`, at least one demo alert fires and every alert clears.
-fn run_drift<R: Real>(pool: Option<&ShardPool>, sink: &mut TraceSink)
+fn run_drift<R: Real>(registry: &Registry, pool: Option<&ShardPool>, sink: &mut TraceSink) -> String
 where
     AdaptiveMf: herqles_core::PrecisionDiscriminator<R>,
 {
@@ -291,13 +296,21 @@ where
     });
     engine.set_recal_cooldown(12);
 
-    // Per-variant registry + the demo SLO alert set, evaluated once per
-    // cycle against fresh registry snapshots.
-    let registry = Registry::new();
+    // The demo SLO alert set, narrowed to this engine's series and
+    // evaluated once per cycle against fresh registry snapshots. The engine
+    // label is appended rather than set with `with_labels`, which replaces
+    // the label set and would take `decode_p99_high` off `stage="decode"`.
     let label = variant_label::<R>("drift", pool);
     let scope = registry.scope(&[("engine", label.as_str())]);
     engine.set_telemetry(EngineTelemetry::registered(&scope));
-    let mut alerts = AlertEngine::registered(demo_alert_rules(), &scope);
+    let rules = demo_alert_rules()
+        .into_iter()
+        .map(|mut rule| {
+            rule.labels.push(("engine".to_string(), label.clone()));
+            rule
+        })
+        .collect();
+    let mut alerts = AlertEngine::registered(rules, &scope);
 
     // Clean calibration phase.
     let _ = engine.run_cycles_adaptive(40);
@@ -388,6 +401,29 @@ where
         engine.stats().hot_swaps,
         engine.stats().degraded_decodes,
     );
+    label
+}
+
+/// Asserts that the exported counter `family` reads ≥ 1 on every engine in
+/// `labels` — the exposition, not just the engine's own stats, must show
+/// the robustness loop.
+fn assert_exported_at_least_one(registry: &Registry, family: &str, labels: &[String]) {
+    let snapshot = registry.snapshot();
+    for label in labels {
+        let value = snapshot.metrics.iter().find_map(|m| match m.value {
+            MetricValue::Counter(v)
+                if m.name == family
+                    && m.labels.iter().any(|(k, l)| k == "engine" && l == label) =>
+            {
+                Some(v)
+            }
+            _ => None,
+        });
+        assert!(
+            value.is_some_and(|v| v >= 1),
+            "{label}: exported {family} is {value:?}, expected ≥ 1"
+        );
+    }
 }
 
 fn main() {
@@ -398,9 +434,9 @@ fn main() {
     let disc = train_mf_discriminator_typed(&chip, SHOTS, SEED);
     let code = RotatedSurfaceCode::new(DISTANCE);
 
-    // One registry spans the telemetry variants; each registers its
-    // histograms and counters under a distinguishing `engine=…` label, so
-    // the exports at the end expose the full matrix in one scrape.
+    // One registry spans the telemetry and drift variants; each registers
+    // its histograms and counters under a distinguishing `engine=…` label,
+    // so the exports at the end expose the full matrix in one scrape.
     let registry = Registry::new();
     let pool = ShardPool::new(POOL_THREADS);
     let mut sink = TraceSink::new();
@@ -409,9 +445,16 @@ fn main() {
         run_variant::<f32>(&disc, &chip, &code, &registry, p, &mut sink);
     }
     eprintln!("[bench_stream] drift scenario (inject → detect → hot-swap → recover)…");
+    let mut drift_labels = Vec::new();
     for p in [None, Some(&pool)] {
-        run_drift::<f64>(p, &mut sink);
-        run_drift::<f32>(p, &mut sink);
+        drift_labels.push(run_drift::<f64>(&registry, p, &mut sink));
+        drift_labels.push(run_drift::<f32>(&registry, p, &mut sink));
+    }
+    for family in [
+        "herqles_hot_swaps_total",
+        "herqles_health_transitions_total",
+    ] {
+        assert_exported_at_least_one(&registry, family, &drift_labels);
     }
 
     let trace_body = sink.chrome.to_json();

@@ -4,7 +4,7 @@ use crate::circuit::Circuit;
 
 /// Quantum Fourier transform on `n` qubits followed by its inverse — a
 /// self-verifying workload whose ideal output is the input state (the
-/// `qft-n` benchmark's success criterion).
+/// `qft-n` benchmark's success condition).
 ///
 /// # Panics
 ///

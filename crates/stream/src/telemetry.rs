@@ -6,7 +6,7 @@
 //! so [`crate::EngineStats`] can answer per-stage p50/p90/p99/max — but
 //! [`EngineTelemetry::registered`] builds the same bundle on a
 //! [`herqles_telemetry::Registry`] scope, which is how `bench_stream` exposes
-//! per-engine metrics to the Prometheus-text and JSON exporters. Either way
+//! per-engine metrics in the Prometheus text exposition. Either way
 //! the hot path is identical: recording is lock- and allocation-free, so the
 //! engine's warm-cycle zero-allocation invariant (`tests/alloc.rs`) holds
 //! with telemetry enabled.
@@ -158,7 +158,7 @@ impl EngineTelemetry {
     }
 
     /// The same bundle registered on `scope`, so the metrics show up in the
-    /// scope's registry snapshots (and therefore in both exporters). The
+    /// scope's registry snapshots (and therefore in the exposition). The
     /// scope's labels — typically `engine="…"` — keep engines apart in a
     /// shared registry.
     #[must_use]

@@ -1,11 +1,9 @@
-//! Exporters: Prometheus text exposition and JSON, both rendering a
-//! [`RegistrySnapshot`].
+//! Exporter: Prometheus text exposition of a [`RegistrySnapshot`].
 //!
 //! Histograms are exported in the Prometheus *summary* shape — quantile
 //! sample lines (`0`=min, `0.5`, `0.9`, `0.99`, `1`=max) plus `_sum` and
 //! `_count` — because the log-linear bucket table (7k+ buckets) is the
-//! wrong granularity for a scrape. The JSON form carries the same scalar
-//! summary per metric, so the two exports of one snapshot always agree.
+//! wrong granularity for a scrape.
 
 use std::fmt::Write as _;
 
@@ -49,25 +47,8 @@ fn label_block(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
     out
 }
 
-/// Escapes a JSON string's contents.
-fn escape_json(v: &str, out: &mut String) {
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders an `f64` the same way in both exporters: integral values print
-/// without a fractional part so counters-as-gauges stay readable.
+/// Renders a gauge value: integral values print without a fractional part
+/// so counters-as-gauges stay readable.
 fn fmt_f64(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{v:.0}")
@@ -135,53 +116,6 @@ impl RegistrySnapshot {
         }
         out
     }
-
-    /// Renders the snapshot as a JSON document:
-    /// `{"metrics": [{"name", "labels", "type", …values…}]}` with the same
-    /// scalar values as the text exposition.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"metrics\": [\n");
-        for (i, m) in self.metrics.iter().enumerate() {
-            out.push_str("    {\"name\": \"");
-            escape_json(&m.name, &mut out);
-            out.push_str("\", \"labels\": {");
-            for (j, (k, v)) in m.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push('"');
-                escape_json(k, &mut out);
-                out.push_str("\": \"");
-                escape_json(v, &mut out);
-                out.push('"');
-            }
-            out.push_str("}, ");
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, "\"type\": \"counter\", \"value\": {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(out, "\"type\": \"gauge\", \"value\": {}", fmt_f64(*v));
-                }
-                MetricValue::Histogram(s) => {
-                    let _ = write!(
-                        out,
-                        "\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"min\": {}, \
-                         \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}",
-                        s.count, s.sum, s.min, s.max, s.p50, s.p90, s.p99
-                    );
-                }
-            }
-            out.push('}');
-            if i + 1 < self.metrics.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +145,5 @@ mod tests {
         let _ = r.counter("x_total", "", &[("k", "a\"b\\c\nd")]);
         let text = r.snapshot().to_prometheus_text();
         assert!(text.contains(r#"x_total{k="a\"b\\c\nd"} 0"#));
-        let json = r.snapshot().to_json();
-        assert!(json.contains(r#""k": "a\"b\\c\nd""#));
     }
 }

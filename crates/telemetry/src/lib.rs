@@ -36,9 +36,8 @@
 //!   counter rate, gauge bound) evaluated over successive
 //!   [`RegistrySnapshot`]s with hold/hysteresis debounce, stamping
 //!   fire/clear point records and per-rule state gauges.
-//! * Exporters — [`RegistrySnapshot::to_prometheus_text`] (text exposition
-//!   format) and [`RegistrySnapshot::to_json`] render the *same* snapshot,
-//!   so the two views can never disagree.
+//! * Exporter — [`RegistrySnapshot::to_prometheus_text`] renders a
+//!   snapshot in the Prometheus text exposition format.
 //! * [`time`] — the one shared timing vocabulary: saturating
 //!   [`time::duration_ns`], a process-global monotonic [`time::now_ns`],
 //!   and the reusable [`StageTimer`] lap timer.

@@ -9,9 +9,8 @@
 //! multi-tenant fleet hangs per-tenant views on.
 //!
 //! [`Registry::snapshot`] freezes every registered metric into a
-//! [`RegistrySnapshot`], which both exporters
-//! ([`RegistrySnapshot::to_prometheus_text`], [`RegistrySnapshot::to_json`])
-//! render — the two views always agree because they share the snapshot.
+//! [`RegistrySnapshot`], which [`RegistrySnapshot::to_prometheus_text`]
+//! renders as the text exposition.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -315,8 +314,8 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-/// A deterministic, ordered freeze of a whole [`Registry`] — the single
-/// source both exporters render.
+/// A deterministic, ordered freeze of a whole [`Registry`] — what the
+/// exporter renders and alert rules evaluate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegistrySnapshot {
     /// Metrics sorted by `(name, labels)` so families are contiguous.

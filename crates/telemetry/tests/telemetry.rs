@@ -165,9 +165,9 @@ fn trace_ring_wraps_keeping_newest_in_order() {
     assert_eq!(buf.last().map(|e| e.kind), Some(SpanKind::HotSwap));
 }
 
-/// Pulls `name{labels...} value`-style sample values back out of both
-/// exporter outputs and checks they agree — the round-trip pin: one
-/// snapshot, two formats, same numbers.
+/// Pulls `name{labels...} value`-style sample values back out of the text
+/// exposition and checks they match the snapshot — the round-trip pin: what
+/// the snapshot froze is what a scrape reads.
 #[test]
 fn exporters_roundtrip_the_same_snapshot() {
     let registry = Registry::new();
@@ -183,18 +183,14 @@ fn exporters_roundtrip_the_same_snapshot() {
 
     let snap = registry.snapshot();
     let text = snap.to_prometheus_text();
-    let json = snap.to_json();
 
-    // Counter value appears identically in both.
+    // Counter.
     assert!(text.contains("cycles_total{engine=\"e0\"} 41"));
-    assert!(json.contains("\"name\": \"cycles_total\""));
-    assert!(json.contains("\"value\": 41"));
 
     // Gauge.
     assert!(text.contains("load_ratio{engine=\"e0\"} 0.75"));
-    assert!(json.contains("\"value\": 0.75"));
 
-    // Histogram summary: count/sum and every quantile agree across formats.
+    // Histogram summary: count, sum and the quantiles reach the exposition.
     let summary = snap
         .metrics
         .iter()
@@ -205,18 +201,6 @@ fn exporters_roundtrip_the_same_snapshot() {
         .expect("histogram present in snapshot");
     assert_eq!(summary.count, 4);
     assert_eq!(summary.max, 40_000);
-    for (field, v) in [
-        ("count", summary.count),
-        ("sum", summary.sum),
-        ("p50", summary.p50),
-        ("p99", summary.p99),
-        ("max", summary.max),
-    ] {
-        assert!(
-            json.contains(&format!("\"{field}\": {v}")),
-            "JSON lost {field}={v}"
-        );
-    }
     assert!(text.contains(&format!(
         "stage_latency_ns_count{{engine=\"e0\",stage=\"synth\"}} {}",
         summary.count

@@ -17,7 +17,7 @@
 //! * [`stream`] — streaming QEC-cycle engine (readout → syndrome → decode
 //!   on one batch pipeline)
 //! * [`telemetry`] — allocation-free latency histograms, metrics registry
-//!   with Prometheus/JSON exporters, and lock-free event tracing
+//!   with a Prometheus text exporter, and lock-free event tracing
 //! * [`nisq`] — noisy state-vector simulation of NISQ benchmark circuits
 //!
 //! # Quickstart
