@@ -95,7 +95,7 @@ impl<R: Real> ShotBatch<R> {
     }
 
     /// Appends one zeroed row and returns its `(I, Q)` halves for in-place
-    /// synthesis (e.g. [`crate::multiplex::synthesize_into`]).
+    /// synthesis (e.g. [`crate::RoundSynth::synth_into_row`]).
     ///
     /// Uses the batch's configured sample count (set by
     /// [`ShotBatch::with_capacity`] or the first pushed trace); within the

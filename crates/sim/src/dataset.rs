@@ -3,24 +3,23 @@
 //!
 //! The paper's dataset contains readout traces for all `2^5` basis states of
 //! the five-qubit chip (50 000 shots per state). [`Dataset::generate`]
-//! produces the same structure at a configurable scale: for every basis state
-//! and shot it samples per-qubit state paths (relaxation/excitation/init
-//! errors), evolves the resonator basebands, applies crosstalk, synthesizes
-//! the frequency-multiplexed ADC waveform, and records ground-truth event
-//! information for validating the semi-supervised relaxation labeling
-//! (Algorithm 1).
+//! produces the same structure at a configurable scale: every shot is one
+//! [`RoundSynth`] call — the same synthesizer the streaming engine reads its
+//! ancillas with — which samples per-qubit state paths
+//! (relaxation/excitation/init errors), evolves the resonator basebands,
+//! applies crosstalk and synthesizes the frequency-multiplexed ADC waveform.
+//! The state paths it sampled become the shot's ground-truth event record,
+//! for validating the semi-supervised relaxation labeling (Algorithm 1).
 
 use herqles_exec::ShardPool;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::config::ChipConfig;
-use crate::events::{sample_path, StatePath};
-use crate::multiplex::{synthesize, CarrierTable};
-use crate::noise::GaussianNoise;
-use crate::trace::{BasisState, IqPoint, IqTrace};
-use crate::trajectory::{baseband, excitation_measure};
+use crate::events::StatePath;
+use crate::synth::RoundSynth;
+use crate::trace::{BasisState, IqTrace};
 
 /// Ground-truth event record for one shot (not observable by discriminators;
 /// used to validate labeling algorithms and to compute oracle accuracies).
@@ -36,6 +35,31 @@ pub struct ShotTruth {
     /// Per-qubit excitation times, if the qubit underwent a `0 → 1`
     /// transition during readout.
     pub excitation_time_s: Vec<Option<f64>>,
+}
+
+impl ShotTruth {
+    /// The ground truth of a shot whose qubits followed `paths` (one per
+    /// qubit, in qubit order) over a window of `duration_s` seconds.
+    fn from_paths(paths: &[StatePath], duration_s: f64) -> Self {
+        let mut initial = BasisState::new(0);
+        let mut final_state = BasisState::new(0);
+        for (k, path) in paths.iter().enumerate() {
+            initial = initial.with_qubit(k, path.initial_excited());
+            final_state = final_state.with_qubit(k, path.final_excited(duration_s));
+        }
+        ShotTruth {
+            initial,
+            final_state,
+            relaxation_time_s: paths.iter().map(StatePath::relaxation_time).collect(),
+            excitation_time_s: paths
+                .iter()
+                .map(|path| match *path {
+                    StatePath::Excitation { time_s } => Some(time_s),
+                    _ => None,
+                })
+                .collect(),
+        }
+    }
 }
 
 /// One labeled readout shot: the nominally prepared state plus the raw
@@ -122,19 +146,30 @@ impl Dataset {
         seed: u64,
         pool: &ShardPool,
     ) -> Dataset {
-        config.validate().expect("invalid chip configuration");
-        let carriers = CarrierTable::new(config);
+        // Built once and cloned per shard, so at most one synthesizer per
+        // worker (plus this one) is ever alive, however many states there are.
+        let template: RoundSynth = RoundSynth::new(config);
         let n = config.n_qubits();
         let n_states = 1usize << n;
+        let n_samples = template.n_samples();
+        let duration_s = config.readout_duration_s;
 
         let mut per_state: Vec<Vec<Shot>> = Vec::with_capacity(n_states);
         per_state.resize_with(n_states, Vec::new);
         pool.run_mut(&mut per_state, |state, bucket| {
             let prepared = BasisState::new(state as u32);
             let mut rng = StdRng::seed_from_u64(state_stream_seed(seed, state));
+            let mut synth = template.clone();
             bucket.reserve(shots_per_state);
             for _ in 0..shots_per_state {
-                bucket.push(generate_shot(config, &carriers, prepared, &mut rng));
+                let mut i = vec![0.0; n_samples];
+                let mut q = vec![0.0; n_samples];
+                synth.synth_into_slot(prepared, None, &mut i, &mut q, &mut rng);
+                bucket.push(Shot {
+                    prepared,
+                    raw: IqTrace::new(i, q),
+                    truth: ShotTruth::from_paths(synth.paths(), duration_s),
+                });
             }
         });
 
@@ -212,80 +247,6 @@ fn state_stream_seed(seed: u64, state: usize) -> u64 {
     herqles_exec::stream_seed(seed, state as u64)
 }
 
-fn generate_shot<R: Rng + ?Sized>(
-    config: &ChipConfig,
-    carriers: &CarrierTable,
-    prepared: BasisState,
-    rng: &mut R,
-) -> Shot {
-    let n = config.n_qubits();
-    let n_samples = config.n_samples();
-    let times: Vec<f64> = (0..n_samples)
-        .map(|t| config.sample_time(t) + 0.5 / config.sample_rate_hz)
-        .collect();
-
-    // 1. Sample each qubit's state path.
-    let mut paths = Vec::with_capacity(n);
-    let mut initial = BasisState::new(0);
-    let mut final_state = BasisState::new(0);
-    let mut relaxation_time_s = Vec::with_capacity(n);
-    let mut excitation_time_s = Vec::with_capacity(n);
-    for (k, params) in config.qubits.iter().enumerate() {
-        let sampled = sample_path(params, prepared.qubit(k), config.readout_duration_s, rng);
-        initial = initial.with_qubit(k, sampled.path.initial_excited());
-        final_state =
-            final_state.with_qubit(k, sampled.path.final_excited(config.readout_duration_s));
-        relaxation_time_s.push(sampled.path.relaxation_time());
-        excitation_time_s.push(match sampled.path {
-            StatePath::Excitation { time_s } => Some(time_s),
-            _ => None,
-        });
-        paths.push(sampled.path);
-    }
-
-    // 2. Evolve noiseless basebands and the excitation measures that drive
-    //    the crosstalk model.
-    let mut basebands: Vec<Vec<IqPoint>> = config
-        .qubits
-        .iter()
-        .zip(&paths)
-        .map(|(params, path)| baseband(params, path, &times))
-        .collect();
-    let measures: Vec<Vec<f64>> = config
-        .qubits
-        .iter()
-        .zip(&basebands)
-        .map(|(params, bb)| bb.iter().map(|&s| excitation_measure(params, s)).collect())
-        .collect();
-
-    // 3. Apply crosstalk shifts sample by sample.
-    let mut m = vec![0.0; n];
-    for t in 0..n_samples {
-        for (k, meas) in measures.iter().enumerate() {
-            m[k] = meas[t];
-        }
-        for (victim, bb) in basebands.iter_mut().enumerate() {
-            let shift = config.crosstalk.shift_at(victim, &m, times[t]);
-            bb[t] += shift;
-        }
-    }
-
-    // 4. Synthesize the multiplexed ADC waveform with additive noise.
-    let mut noise = GaussianNoise::new(config.adc_noise_sigma);
-    let raw = synthesize(carriers, &basebands, &mut noise, rng);
-
-    Shot {
-        prepared,
-        raw,
-        truth: ShotTruth {
-            initial,
-            final_state,
-            relaxation_time_s,
-            excitation_time_s,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +290,12 @@ mod tests {
             );
         }
         assert_eq!(single.shots, Dataset::generate(&cfg, 4, 31).shots);
+        // Each shard clones its own synthesizer: on the 32-state chip two
+        // workers must still reproduce the inline traces and truth.
+        let cfg = ChipConfig::five_qubit_default();
+        let single = Dataset::generate_with_threads(&cfg, 2, 17, 1);
+        let pooled = Dataset::generate_with_threads(&cfg, 2, 17, 2);
+        assert_eq!(single.shots, pooled.shots);
     }
 
     #[test]

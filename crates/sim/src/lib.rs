@@ -21,9 +21,16 @@
 //! * **Additive Gaussian noise** — amplifier-chain noise on both ADC channels
 //!   ([`noise`]).
 //!
-//! The top-level entry point is [`Dataset::generate`], which produces labeled
-//! shots for every basis state of the configured chip, mirroring the paper's
-//! calibration dataset (50 000 traces per basis state; scaled down by default).
+//! One synthesizer, [`RoundSynth`], turns a prepared basis state into one
+//! feedline shot: it samples the state paths, rings up the basebands, applies
+//! crosstalk, mixes the carriers ([`ReadoutMixer`]) and adds the amplifier
+//! noise, into caller-owned rows with no allocation once warm. Both shot
+//! producers run on it: [`Dataset::generate`], which produces labeled shots
+//! for every basis state of the configured chip, mirroring the paper's
+//! calibration dataset (50 000 traces per basis state; scaled down by
+//! default), and the streaming QEC engine in `herqles-stream`, which
+//! synthesizes each round's ancilla readout. Calibration therefore trains on
+//! exactly the physics the stream classifies.
 //!
 //! # Example
 //!
@@ -44,6 +51,7 @@ pub mod events;
 pub mod mixer;
 pub mod multiplex;
 pub mod noise;
+pub mod synth;
 pub mod trace;
 pub mod trajectory;
 
@@ -55,4 +63,5 @@ pub use drift::{DriftEvent, FaultPlan, RoundFaults};
 pub use herqles_num::Real;
 pub use mixer::ReadoutMixer;
 pub use noise::GaussianNoise;
+pub use synth::RoundSynth;
 pub use trace::{BasisState, IqPoint, IqTrace};

@@ -126,7 +126,11 @@ impl CarrierTable {
 /// white Gaussian noise of deviation `noise.sigma()` to each channel sample.
 ///
 /// `basebands[q][t]` is qubit `q`'s (crosstalk-shifted) baseband field at raw
-/// sample `t`.
+/// sample `t`. The mix ([`mix_into_scratch`]) and the noise
+/// ([`GaussianNoise::fill_add_iq`]) run in `R` on freshly allocated rows: on
+/// the scalar backend every operation matches the historical per-sample loop
+/// in order and rounding; the AVX2 backend diverges only by FMA contraction
+/// in the mix and by its lane-parallel noise stream.
 ///
 /// # Panics
 ///
@@ -140,7 +144,14 @@ pub fn synthesize<R: Real, G: Rng + ?Sized>(
     let n = carriers.n_samples();
     let mut i_ch = vec![R::ZERO; n];
     let mut q_ch = vec![R::ZERO; n];
-    synthesize_into(carriers, basebands, noise, rng, &mut i_ch, &mut q_ch);
+    mix_into_scratch(
+        carriers,
+        basebands,
+        &mut SynthScratch::new(n),
+        &mut i_ch,
+        &mut q_ch,
+    );
+    noise.fill_add_iq(rng, &mut i_ch, &mut q_ch);
     IqTrace::new(
         i_ch.iter().map(|x| x.to_f64()).collect(),
         q_ch.iter().map(|x| x.to_f64()).collect(),
@@ -169,57 +180,6 @@ impl<R: Real> SynthScratch<R> {
         self.bi.resize(n_samples, R::ZERO);
         self.bq.resize(n_samples, R::ZERO);
     }
-}
-
-/// Buffer-writing variant of [`synthesize`]: writes the summed waveform into
-/// caller-owned channel slices (e.g. a [`crate::ShotBatch`] row obtained from
-/// [`crate::ShotBatch::push_empty_row`]), allocating a fresh [`SynthScratch`]
-/// per call. Hot paths that own a scratch should call
-/// [`synthesize_into_scratch`] directly — the values are identical.
-///
-/// # Panics
-///
-/// Panics if the baseband dimensions or output slice lengths do not match the
-/// carrier table.
-pub fn synthesize_into<R: Real, G: Rng + ?Sized>(
-    carriers: &CarrierTable,
-    basebands: &[Vec<IqPoint>],
-    noise: &mut GaussianNoise<R>,
-    rng: &mut G,
-    i_out: &mut [R],
-    q_out: &mut [R],
-) {
-    let mut scratch = SynthScratch::new(carriers.n_samples());
-    synthesize_into_scratch(carriers, basebands, noise, rng, &mut scratch, i_out, q_out);
-}
-
-/// The allocation-free trace-assembly engine behind [`synthesize`] and
-/// [`synthesize_into`]: [`mix_into_scratch`], then the amplifier noise as
-/// one bulk [`GaussianNoise::fill_add_iq`].
-///
-/// Generic over the output precision `R` ([`Real`]): carrier mixing, channel
-/// accumulation and amplifier-noise draws all run in `R`, so an `f32` batch
-/// row is synthesized at `f32` arithmetic width end to end. On the scalar
-/// backend every operation matches the historical per-sample loop in order
-/// and rounding, so scalar synthesis is bit-identical to the pre-batched
-/// implementation; the AVX2 backend diverges only by FMA contraction in the
-/// mix and by its lane-parallel noise stream.
-///
-/// # Panics
-///
-/// Panics if the baseband dimensions or output slice lengths do not match the
-/// carrier table.
-pub fn synthesize_into_scratch<R: Real, G: Rng + ?Sized>(
-    carriers: &CarrierTable,
-    basebands: &[Vec<IqPoint>],
-    noise: &mut GaussianNoise<R>,
-    rng: &mut G,
-    scratch: &mut SynthScratch<R>,
-    i_out: &mut [R],
-    q_out: &mut [R],
-) {
-    mix_into_scratch(carriers, basebands, scratch, i_out, q_out);
-    noise.fill_add_iq(rng, i_out, q_out);
 }
 
 /// The noise-free carrier mix: overwrites `i_out`/`q_out` with
@@ -371,36 +331,6 @@ mod tests {
             assert!((rb.i()[t] - r0.i()[t] - r1.i()[t]).abs() < 1e-12);
             assert!((rb.q()[t] - r0.q()[t] - r1.q()[t]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn synthesize_into_batch_row_matches_materializing_path() {
-        let cfg = ChipConfig::two_qubit_test();
-        let table = CarrierTable::new(&cfg);
-        let n = cfg.n_samples();
-        let bb = vec![
-            vec![IqPoint::new(0.6, -0.4); n],
-            vec![IqPoint::new(-0.2, 0.8); n],
-        ];
-        let mut noise = GaussianNoise::new(cfg.adc_noise_sigma);
-        let mut rng = StdRng::seed_from_u64(77);
-        let owned = synthesize(&table, &bb, &mut noise, &mut rng);
-
-        let mut noise2 = GaussianNoise::new(cfg.adc_noise_sigma);
-        let mut rng2 = StdRng::seed_from_u64(77);
-        let mut batch = crate::ShotBatch::with_capacity(1, n);
-        let (i_row, q_row) = batch.push_empty_row();
-        synthesize_into(&table, &bb, &mut noise2, &mut rng2, i_row, q_row);
-        assert_eq!(
-            batch.i_of(0),
-            owned.i(),
-            "streaming I must be bit-identical"
-        );
-        assert_eq!(
-            batch.q_of(0),
-            owned.q(),
-            "streaming Q must be bit-identical"
-        );
     }
 
     #[test]

@@ -1,37 +1,41 @@
-//! Allocation-free per-round ancilla readout synthesis.
+//! Allocation-free synthesis of one feedline shot.
 //!
 //! [`RoundSynth`] produces one feedline group's multiplexed ADC waveform per
-//! call, written directly into a [`ShotBatch`] row. It performs exactly the
-//! physics of `readout_sim`'s dataset generator — state-path sampling,
+//! call, written straight into caller-owned I/Q rows. It is the dataset
+//! generator — [`crate::Dataset`] synthesizes every calibration shot through
+//! it — and the streaming engine's per-round ancilla readout, so calibration
+//! trains on exactly the physics the stream classifies: state-path sampling,
 //! ring-up basebands, dispersive crosstalk, multiplexed synthesis with
-//! amplifier noise — over buffers reused across rounds, so the warm
+//! amplifier noise, over buffers reused across shots, so the warm
 //! steady-state path touches the heap not at all. Basebands come from
-//! [`readout_sim::trajectory::baseband_into_cached`]; one
-//! [`ReadoutMixer`] then applies crosstalk and the carrier mix (on the AVX2
-//! backend as one fused register pass, pinned bitwise to the row passes the
-//! offline reference runs); the amplifier noise lands last through
+//! [`baseband_into_cached`]; one [`ReadoutMixer`] then applies crosstalk and
+//! the carrier mix (on the AVX2 backend as one fused register pass, pinned
+//! bitwise to the row passes); the amplifier noise lands last through
 //! [`GaussianNoise::fill_add_iq`].
 //!
-//! RNG draw order matches the materializing path (per-channel state paths in
-//! channel order, then per-sample noise), so a streaming row and an offline
-//! [`readout_sim::trace::IqTrace`] synthesized from the same RNG state are
-//! bit-identical.
+//! RNG draw order is per-channel state paths in channel order, then
+//! per-sample noise. On the scalar kernel arm a shot is bit-identical to
+//! the per-sample reference generator (`tests/dataset_parity.rs`); on SIMD
+//! arms the closed-form ring-up and FMA contraction keep it within 1e-12.
 
 use herqles_num::Real;
 use rand::{Rng, RngExt};
-use readout_sim::drift::RoundFaults;
-use readout_sim::events::{sample_path, StatePath};
-use readout_sim::trace::IqPoint;
-use readout_sim::trajectory::{baseband_into_cached, RingupTable};
-use readout_sim::{BasisState, ChipConfig, GaussianNoise, ReadoutMixer, ShotBatch};
+
+use crate::batch::ShotBatch;
+use crate::config::ChipConfig;
+use crate::drift::RoundFaults;
+use crate::events::{sample_path, StatePath};
+use crate::mixer::ReadoutMixer;
+use crate::noise::GaussianNoise;
+use crate::trace::{BasisState, IqPoint};
+use crate::trajectory::{baseband_into_cached, RingupTable};
 
 /// Reusable synthesizer of one feedline group's readout shot.
 ///
 /// Generic over the pipeline precision `R` ([`Real`], default `f64`): the
 /// analog physics (state paths, ring-up basebands, crosstalk shifts) always
 /// evolves in `f64` — it stands in for continuous voltages — while the
-/// ADC-facing mixing, accumulation and amplifier-noise draws run at `R`,
-/// writing directly into a `ShotBatch<R>` row.
+/// ADC-facing mixing, accumulation and amplifier-noise draws run at `R`.
 #[derive(Debug, Clone)]
 pub struct RoundSynth<R: Real = f64> {
     chip: ChipConfig,
@@ -57,7 +61,7 @@ impl<R: Real> RoundSynth<R> {
         chip.validate().expect("invalid chip configuration");
         let n = chip.n_qubits();
         let n_samples = chip.n_samples();
-        // Half-sample offset: identical to the dataset generator's clock.
+        // Sample clock: the middle of each raw sample period.
         let times: Vec<f64> = (0..n_samples)
             .map(|t| chip.sample_time(t) + 0.5 / chip.sample_rate_hz)
             .collect();
@@ -76,27 +80,23 @@ impl<R: Real> RoundSynth<R> {
         }
     }
 
-    /// Multiplexed channels per synthesized shot.
-    pub fn n_channels(&self) -> usize {
-        self.chip.n_qubits()
-    }
-
     /// Raw ADC samples per synthesized shot.
     pub fn n_samples(&self) -> usize {
         self.times.len()
     }
 
-    /// The chip configuration this synthesizer was built for.
-    pub fn chip(&self) -> &ChipConfig {
-        &self.chip
+    /// The per-channel state paths of the last synthesized shot, in channel
+    /// order (empty before the first shot). A channel that leaked under an
+    /// active fault reads [`StatePath::Ground`].
+    pub fn paths(&self) -> &[StatePath] {
+        &self.paths
     }
 
-    /// Synthesizes one feedline shot for `prepared` (bit `k` = channel `k`'s
-    /// ancilla parity) and appends it to `batch` as a new row.
+    /// Synthesizes one nominal feedline shot for `prepared` (bit `k` =
+    /// channel `k`'s state) and appends it to `batch` as a new row.
     ///
-    /// Allocation-free once warm; RNG draws match the materializing
-    /// generator: one state path per channel in channel order, then the
-    /// per-sample amplifier noise.
+    /// Allocation-free once warm; output and RNG draws are identical to
+    /// [`RoundSynth::synth_into_slot`] with no faults.
     ///
     /// # Panics
     ///
@@ -107,72 +107,38 @@ impl<R: Real> RoundSynth<R> {
         batch: &mut ShotBatch<R>,
         rng: &mut G,
     ) {
-        self.synth_into_row_faulted(prepared, None, batch, rng);
-    }
-
-    /// Like [`RoundSynth::synth_into_row`] with an optional resolved fault
-    /// snapshot; `None` is the nominal path, bit-identical to
-    /// [`RoundSynth::synth_into_row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` was sized for a different sample count.
-    pub fn synth_into_row_faulted<G: Rng + ?Sized>(
-        &mut self,
-        prepared: BasisState,
-        faults: Option<&RoundFaults>,
-        batch: &mut ShotBatch<R>,
-        rng: &mut G,
-    ) {
         assert_eq!(
             batch.n_samples(),
             self.n_samples(),
             "batch sized for a different readout window"
         );
         let (i_row, q_row) = batch.push_empty_row();
-        self.synth_into_slot_faulted(prepared, faults, i_row, q_row, rng);
+        self.synth_into_slot(prepared, None, i_row, q_row, rng);
     }
 
-    /// Synthesizes one feedline shot straight into caller-owned channel
-    /// slices — the shard-parallel entry point: each feedline-group shard of
-    /// a pooled engine owns its own `RoundSynth` and writes its own
-    /// pre-sized [`ShotBatch`] row, so groups synthesize concurrently with
-    /// no shared mutable state.
+    /// Synthesizes one feedline shot for `prepared` straight into
+    /// caller-owned channel slices, overwriting them. Each feedline-group
+    /// shard of a pooled engine and each basis-state shard of a dataset owns
+    /// its own `RoundSynth` and writes its own rows, so shards synthesize
+    /// concurrently with no shared mutable state.
     ///
-    /// RNG draws and output are identical to [`RoundSynth::synth_into_row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not match the synthesizer's sample count.
-    pub fn synth_into_slot<G: Rng + ?Sized>(
-        &mut self,
-        prepared: BasisState,
-        i_row: &mut [R],
-        q_row: &mut [R],
-        rng: &mut G,
-    ) {
-        self.synth_into_slot_faulted(prepared, None, i_row, q_row, rng);
-    }
-
-    /// [`RoundSynth::synth_into_slot`] with an optional resolved
-    /// [`RoundFaults`] snapshot injected into the physics: per-channel IQ
-    /// centroid shifts, |2⟩ leakage clouds, a feedline-wide crosstalk gain
-    /// and an ADC-noise sigma multiplier.
-    ///
-    /// `faults: None` is the nominal path and is **bit-identical** to
-    /// [`RoundSynth::synth_into_slot`] — every fault branch (including the
-    /// per-shot leakage draw) is gated on the corresponding fault actually
-    /// deviating from nominal, so the RNG draw sequence and all floating
-    /// point values are untouched when no fault is active. A leaked channel
-    /// replaces its state-path draws with a single leakage uniform, which
-    /// stays inside the caller's per-group RNG stream: pooled and serial
-    /// engines remain bit-identical under active fault injection.
+    /// `faults` injects a resolved [`RoundFaults`] snapshot into the
+    /// physics: per-channel IQ centroid shifts, |2⟩ leakage clouds, a
+    /// feedline-wide crosstalk gain and an ADC-noise sigma multiplier.
+    /// `None` is the nominal path, and a snapshot with no active fault is
+    /// **bit-identical** to it — every fault branch (including the per-shot
+    /// leakage draw) is gated on the corresponding fault actually deviating
+    /// from nominal, so the RNG draw sequence and all floating point values
+    /// are untouched when no fault is active. A leaked channel replaces its
+    /// state-path draws with a single leakage uniform, which stays inside
+    /// the caller's RNG stream: pooled and serial engines remain
+    /// bit-identical under active fault injection.
     ///
     /// # Panics
     ///
     /// Panics if the slices do not match the synthesizer's sample count, or
     /// the snapshot was sized for a different channel count.
-    pub fn synth_into_slot_faulted<G: Rng + ?Sized>(
+    pub fn synth_into_slot<G: Rng + ?Sized>(
         &mut self,
         prepared: BasisState,
         faults: Option<&RoundFaults>,
@@ -251,9 +217,9 @@ impl<R: Real> RoundSynth<R> {
         //    the carrier mix, straight into the row.
         let gain = faults.map_or(1.0, RoundFaults::crosstalk_gain);
         self.mixer.mix_into(&mut self.basebands, gain, i_row, q_row);
-        // 4. Amplifier noise (fresh noise state per shot, like the dataset
-        //    path). Sigma scaling rebuilds the sampler only when the fault
-        //    deviates, so the nominal noise stream is untouched bit for bit.
+        // 4. Amplifier noise (fresh noise state per shot). Sigma scaling
+        //    rebuilds the sampler only when the fault deviates, so the
+        //    nominal noise stream is untouched bit for bit.
         let sigma_scale = faults.map_or(1.0, RoundFaults::sigma_scale);
         let sigma = if sigma_scale != 1.0 {
             self.sigma * R::from_f64(sigma_scale)
@@ -269,6 +235,20 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One shot for `state` on a fresh `seed` stream, as a one-row batch.
+    fn faulted_row(
+        synth: &mut RoundSynth,
+        state: u32,
+        faults: Option<&RoundFaults>,
+        seed: u64,
+    ) -> ShotBatch {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut batch: ShotBatch = ShotBatch::with_capacity(1, synth.n_samples());
+        let (i_row, q_row) = batch.push_empty_row();
+        synth.synth_into_slot(BasisState::new(state), faults, i_row, q_row, &mut rng);
+        batch
+    }
 
     #[test]
     fn same_seed_same_row() {
@@ -302,7 +282,6 @@ mod tests {
 
     #[test]
     fn inactive_fault_snapshot_is_bit_identical_to_nominal() {
-        use readout_sim::drift::RoundFaults;
         let chip = ChipConfig::two_qubit_test();
         let mut synth = RoundSynth::new(&chip);
         let nominal = {
@@ -311,29 +290,17 @@ mod tests {
             synth.synth_into_row(BasisState::new(0b01), &mut batch, &mut rng);
             batch
         };
-        let faulted = {
-            let rf = RoundFaults::nominal(chip.n_qubits());
-            let mut rng = StdRng::seed_from_u64(11);
-            let mut batch: ShotBatch = ShotBatch::with_capacity(1, chip.n_samples());
-            synth.synth_into_row_faulted(BasisState::new(0b01), Some(&rf), &mut batch, &mut rng);
-            batch
-        };
+        let rf = RoundFaults::nominal(chip.n_qubits());
+        let faulted = faulted_row(&mut synth, 0b01, Some(&rf), 11);
         assert_eq!(nominal, faulted, "nominal snapshot must not perturb draws");
     }
 
     #[test]
     fn centroid_shift_displaces_the_row() {
-        use readout_sim::drift::{DriftEvent, FaultPlan, RoundFaults};
-        use readout_sim::IqPoint;
+        use crate::drift::{DriftEvent, FaultPlan};
         let chip = ChipConfig::two_qubit_test();
         let mut synth = RoundSynth::new(&chip);
-        let mut run = |faults: Option<&RoundFaults>| -> ShotBatch {
-            let mut rng = StdRng::seed_from_u64(4);
-            let mut batch: ShotBatch = ShotBatch::with_capacity(1, chip.n_samples());
-            synth.synth_into_row_faulted(BasisState::new(0b00), faults, &mut batch, &mut rng);
-            batch
-        };
-        let clean = run(None);
+        let clean = faulted_row(&mut synth, 0b00, None, 4);
         let plan = FaultPlan::new(vec![DriftEvent::CentroidDrift {
             qubit: 0,
             start_round: 0,
@@ -342,14 +309,13 @@ mod tests {
         }]);
         let mut rf = RoundFaults::nominal(chip.n_qubits());
         plan.resolve_into(0, &mut rf);
-        let shifted = run(Some(&rf));
+        let shifted = faulted_row(&mut synth, 0b00, Some(&rf), 4);
         assert_ne!(clean, shifted, "an active drift must change the waveform");
     }
 
     #[test]
     fn certain_leakage_rings_to_the_leak_cloud() {
-        use readout_sim::drift::{DriftEvent, FaultPlan, RoundFaults};
-        use readout_sim::IqPoint;
+        use crate::drift::{DriftEvent, FaultPlan};
         let chip = ChipConfig::two_qubit_test();
         let mut synth = RoundSynth::new(&chip);
         let plan = FaultPlan::new(vec![DriftEvent::Leakage {
@@ -362,9 +328,7 @@ mod tests {
         let mut rf = RoundFaults::nominal(chip.n_qubits());
         plan.resolve_into(0, &mut rf);
         let energy = |synth: &mut RoundSynth, faults: Option<&RoundFaults>| -> f64 {
-            let mut rng = StdRng::seed_from_u64(8);
-            let mut batch: ShotBatch = ShotBatch::with_capacity(1, chip.n_samples());
-            synth.synth_into_row_faulted(BasisState::new(0b00), faults, &mut batch, &mut rng);
+            let batch = faulted_row(synth, 0b00, faults, 8);
             batch.i_of(0).iter().map(|x| x * x).sum()
         };
         let clean = energy(&mut synth, None);

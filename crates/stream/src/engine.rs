@@ -46,7 +46,7 @@ use herqles_telemetry::{now_ns, SpanKind, StageTimer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use readout_sim::drift::{FaultPlan, RoundFaults};
-use readout_sim::{BasisState, ChipConfig, ShotBatch};
+use readout_sim::{BasisState, ChipConfig, RoundSynth, ShotBatch};
 use surface_code::decoder::DecodeOutcome;
 use surface_code::syndrome::DetectionEvent;
 use surface_code::{
@@ -57,7 +57,6 @@ use surface_code::{
 use crate::health::{HealthConfig, HealthMonitor, HealthStatus};
 use crate::map::AncillaMap;
 use crate::recal::Recalibrate;
-use crate::synth::RoundSynth;
 use crate::telemetry::{fmt_ns, EngineTelemetry, StageLatency};
 
 /// Configuration of a streaming cycle run.
@@ -935,7 +934,7 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
                 let row = unsafe { row_tiles.tile(g) };
                 let (i_row, q_row) = row.split_at_mut(n_samples);
                 let mut rng = StdRng::seed_from_u64(seeds[g]);
-                synth.synth_into_slot_faulted(
+                synth.synth_into_slot(
                     map.prepared_state(g, parities),
                     round_faults,
                     i_row,

@@ -26,8 +26,10 @@
 //!   its [`RoundSynth`], and round `t+1`'s synthesis overlaps round `t`'s
 //!   discriminate → syndrome → window-decode stage. Bit-identical at every
 //!   pool size, zero-allocation once warm;
-//! * [`RoundSynth`] — allocation-free per-round multiplexed readout
-//!   synthesis straight into [`readout_sim::ShotBatch`] rows;
+//! * [`RoundSynth`] — re-exported from `readout_sim`: the one readout
+//!   synthesizer, which also generates the calibration [`Dataset`]s the
+//!   discriminators train on, writing each round's multiplexed feedline
+//!   shots straight into [`readout_sim::ShotBatch`] rows;
 //! * [`AncillaMap`] — tiling of the code's ancillas onto
 //!   frequency-multiplexed feedline groups (batch rows);
 //! * [`run_cycles_offline`] — the materializing reference path, bit-identical
@@ -60,7 +62,6 @@ pub mod health;
 pub mod map;
 pub mod offline;
 pub mod recal;
-pub mod synth;
 pub mod telemetry;
 
 pub use engine::{
@@ -70,9 +71,8 @@ pub use health::{HealthConfig, HealthMonitor, HealthStatus};
 pub use herqles_exec::{stream_seed, PoolTelemetry, ShardPool};
 pub use map::AncillaMap;
 pub use offline::{run_cycles_offline, OfflineCycle};
-pub use readout_sim::{DriftEvent, FaultPlan, RoundFaults};
+pub use readout_sim::{DriftEvent, FaultPlan, RoundFaults, RoundSynth};
 pub use recal::{AdaptiveMf, RecalConfig, Recalibrate};
-pub use synth::RoundSynth;
 pub use telemetry::{demo_alert_rules, EngineTelemetry, LatencySummary, StageLatency};
 
 use herqles_core::designs::DesignKind;

@@ -36,7 +36,9 @@ pub struct OfflineCycle {
 
 /// Materializes one feedline shot with freshly allocated buffers
 /// ([`baseband_into_cached`] into new `Vec`s, [`synthesize`]); RNG draws
-/// match [`crate::RoundSynth::synth_into_row`] exactly.
+/// match [`readout_sim::RoundSynth::synth_into_row`] exactly. It shares
+/// none of the synthesizer's reused buffers or its fused mixer, so it stays
+/// an independent reference for the engine (`tests/parity.rs`).
 fn synth_trace<R: Rng + ?Sized>(
     chip: &ChipConfig,
     carriers: &CarrierTable,
