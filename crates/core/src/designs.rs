@@ -139,9 +139,10 @@ pub trait Discriminator: Send + Sync {
     ///
     /// The default clears `out` and delegates to
     /// [`Discriminator::discriminate_shot_batch`] (which allocates its own
-    /// result vector); designs with fused kernels override it to write
-    /// through `scratch` with zero per-call allocation. Decisions are always
-    /// identical to [`Discriminator::discriminate_shot_batch`].
+    /// result vector); designs with fused kernels override it to write their
+    /// feature rows through `scratch`, and the `mf` design's override
+    /// allocates nothing per call. Decisions are always identical to
+    /// [`Discriminator::discriminate_shot_batch`].
     fn discriminate_shot_batch_into(
         &self,
         batch: &ShotBatch,

@@ -8,17 +8,14 @@ use readout_sim::ShotBatch;
 
 use crate::bank::FilterBank;
 use crate::designs::{Discriminator, PrecisionDiscriminator};
-use crate::fused::{PrecisionKernels, TruncatedKernelCache};
+use crate::fused::{FeatureHead, FilterFrontEnd};
 
 /// Matched-filter discriminator: one MF and one threshold per qubit, no
 /// crosstalk compensation. The hardware-cheapest design and the accuracy
 /// floor of Table 1.
 #[derive(Debug, Clone)]
 pub struct MfDiscriminator {
-    demod: Demodulator,
-    bank: FilterBank,
-    kernels: PrecisionKernels,
-    truncated: TruncatedKernelCache,
+    front: FilterFrontEnd,
     /// Per-qubit thresholds; class A of each threshold is "excited".
     thresholds: Vec<ThresholdDiscriminator>,
 }
@@ -35,33 +32,35 @@ impl MfDiscriminator {
         bank: FilterBank,
         thresholds: Vec<ThresholdDiscriminator>,
     ) -> Self {
+        Self::from_front_end(FilterFrontEnd::new(demod, bank), thresholds)
+    }
+
+    /// Builds the discriminator on an already compiled front end.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`MfDiscriminator::new`].
+    pub fn from_front_end(front: FilterFrontEnd, thresholds: Vec<ThresholdDiscriminator>) -> Self {
         assert!(
-            !bank.has_rmfs(),
+            !front.bank().has_rmfs(),
             "the mf design uses plain matched filters only"
         );
         assert_eq!(
             thresholds.len(),
-            bank.n_qubits(),
+            front.bank().n_qubits(),
             "one threshold per qubit required"
         );
-        let kernels = PrecisionKernels::new(&demod, &bank);
-        MfDiscriminator {
-            demod,
-            bank,
-            kernels,
-            truncated: TruncatedKernelCache::new(),
-            thresholds,
-        }
+        MfDiscriminator { front, thresholds }
     }
 
     /// The underlying filter bank.
     pub fn bank(&self) -> &FilterBank {
-        &self.bank
+        self.front.bank()
     }
 
     /// The demodulator the design was trained with.
     pub fn demod(&self) -> &Demodulator {
-        &self.demod
+        self.front.demod()
     }
 
     /// The per-qubit decision thresholds (class A = "excited").
@@ -69,38 +68,25 @@ impl MfDiscriminator {
         &self.thresholds
     }
 
-    fn classify_features<R: Real>(&self, features: &[R]) -> BasisState {
-        let mut state = BasisState::new(0);
-        for (q, threshold) in self.thresholds.iter().enumerate() {
-            state = state.with_qubit(q, threshold.classify_a(features[q].to_f64()));
-        }
-        state
+    /// The per-qubit soft margins of one feature row at any pipeline
+    /// precision: each qubit's distance from its threshold.
+    pub fn margins<'a, R: Real>(&'a self, features: &'a [R]) -> impl Iterator<Item = f64> + 'a {
+        self.thresholds
+            .iter()
+            .zip(features)
+            .map(|(threshold, f)| (f.to_f64() - threshold.threshold()).abs())
     }
+}
 
-    /// The fused batch path at any pipeline precision: one demod + MF GEMM
-    /// into the caller's scratch, then per-qubit thresholds. `R = f64` is
-    /// the historical hot path bit for bit; `R = f32` runs the same kernel
-    /// at single precision and is just as allocation-free once warm.
-    fn batch_into_r<R: Real>(
-        &self,
-        batch: &ShotBatch<R>,
-        scratch: &mut Vec<R>,
-        out: &mut Vec<BasisState>,
-    ) {
-        out.clear();
-        let kernel = self.kernels.get::<R>();
-        if !kernel.matches(batch) {
-            out.extend((0..batch.n_shots()).map(|s| self.discriminate(&batch.trace(s))));
-            return;
-        }
-        // Fused demod + MF GEMM into the caller's scratch: within warm
-        // capacity this whole path performs zero heap allocation.
-        kernel.features_batch(batch, scratch);
-        out.extend(
-            scratch
-                .chunks(kernel.n_features().max(1))
-                .map(|f| self.classify_features(f)),
-        );
+impl FeatureHead for MfDiscriminator {
+    fn classify_rows<R: Real>(&self, rows: &[R], width: usize, out: &mut Vec<BasisState>) {
+        out.extend(rows.chunks(width).map(|f| {
+            let mut state = BasisState::new(0);
+            for (q, threshold) in self.thresholds.iter().enumerate() {
+                state = state.with_qubit(q, threshold.classify_a(f[q].to_f64()));
+            }
+            state
+        }));
     }
 }
 
@@ -111,7 +97,7 @@ impl PrecisionDiscriminator<f32> for MfDiscriminator {
         scratch: &mut Vec<f32>,
         out: &mut Vec<BasisState>,
     ) {
-        self.batch_into_r(batch, scratch, out);
+        self.front.classify_batch_into(self, batch, scratch, out);
     }
 }
 
@@ -121,19 +107,15 @@ impl Discriminator for MfDiscriminator {
     }
 
     fn n_qubits(&self) -> usize {
-        self.bank.n_qubits()
+        self.front.bank().n_qubits()
     }
 
     fn discriminate(&self, raw: &IqTrace) -> BasisState {
-        let traces = self.demod.demodulate(raw);
-        self.classify_features(&self.bank.features(&traces))
+        self.front.classify(self, raw, None)
     }
 
     fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.discriminate_shot_batch_into(batch, &mut scratch, &mut out);
-        out
+        self.front.classify_batch(self, batch)
     }
 
     fn discriminate_shot_batch_into(
@@ -142,22 +124,21 @@ impl Discriminator for MfDiscriminator {
         scratch: &mut Vec<f64>,
         out: &mut Vec<BasisState>,
     ) {
-        self.batch_into_r(batch, scratch, out);
+        self.front.classify_batch_into(self, batch, scratch, out);
     }
 
     fn soft_margins(&self, features: &[f64], out: &mut [f64]) -> bool {
         if features.len() < self.thresholds.len() || out.len() < self.thresholds.len() {
             return false;
         }
-        for (q, threshold) in self.thresholds.iter().enumerate() {
-            out[q] = (features[q] - threshold.threshold()).abs();
+        for (dst, margin) in out.iter_mut().zip(self.margins(features)) {
+            *dst = margin;
         }
         true
     }
 
     fn discriminate_truncated(&self, raw: &IqTrace, bins: &[usize]) -> Option<BasisState> {
-        let traces = self.demod.demodulate(raw);
-        Some(self.classify_features(&self.bank.features_truncated(&traces, bins)))
+        Some(self.front.classify(self, raw, Some(bins)))
     }
 
     fn discriminate_truncated_batch(
@@ -165,27 +146,7 @@ impl Discriminator for MfDiscriminator {
         raws: &[&IqTrace],
         bins: &[usize],
     ) -> Option<Vec<BasisState>> {
-        // Full-length batches route through one cached per-duration fused
-        // kernel (prefix weights) — a single GEMM instead of a per-shot
-        // demod walk; ragged or shortened traces fall back per shot.
-        match self.truncated.features_for_batch(
-            &self.demod,
-            &self.bank,
-            raws,
-            bins,
-            self.kernels.n_samples(),
-        ) {
-            Some((features, width)) => Some(
-                features
-                    .chunks(width.max(1))
-                    .map(|f| self.classify_features(f))
-                    .collect(),
-            ),
-            None => raws
-                .iter()
-                .map(|r| self.discriminate_truncated(r, bins))
-                .collect(),
-        }
+        Some(self.front.classify_truncated_batch(self, raws, bins))
     }
 }
 

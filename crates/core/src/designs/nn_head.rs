@@ -6,6 +6,7 @@
 //! inference classifies every qubit jointly and the hidden layers can learn
 //! crosstalk and relaxation corrections.
 
+use herqles_num::Real;
 use readout_dsp::Demodulator;
 use readout_nn::{Matrix, Mlp, Standardizer};
 use readout_sim::trace::{BasisState, IqTrace};
@@ -13,15 +14,12 @@ use readout_sim::ShotBatch;
 
 use crate::bank::FilterBank;
 use crate::designs::{Discriminator, PrecisionDiscriminator};
-use crate::fused::{PrecisionKernels, TruncatedKernelCache};
+use crate::fused::{FeatureHead, FilterFrontEnd};
 
 /// Small-FNN discriminator over filter-bank features.
 #[derive(Debug, Clone)]
 pub struct NnDiscriminator {
-    demod: Demodulator,
-    bank: FilterBank,
-    kernels: PrecisionKernels,
-    truncated: TruncatedKernelCache,
+    front: FilterFrontEnd,
     standardizer: Standardizer,
     net: Mlp,
     name: &'static str,
@@ -69,12 +67,8 @@ impl NnDiscriminator {
         } else {
             "mf-nn"
         };
-        let kernels = PrecisionKernels::new(&demod, &bank);
         NnDiscriminator {
-            demod,
-            bank,
-            kernels,
-            truncated: TruncatedKernelCache::new(),
+            front: FilterFrontEnd::new(demod, bank),
             standardizer,
             net,
             name,
@@ -83,37 +77,28 @@ impl NnDiscriminator {
 
     /// The underlying filter bank.
     pub fn bank(&self) -> &FilterBank {
-        &self.bank
+        self.front.bank()
     }
 
     /// The trained network (for hardware-cost estimation).
     pub fn network(&self) -> &Mlp {
         &self.net
     }
+}
 
-    /// The batched tail shared by every fused path: standardizes the raw
-    /// `[shots × width]` feature rows in place, runs one batched forward
-    /// pass and maps each row's class to its basis state.
-    fn classify_rows(
-        &self,
-        mut features: Vec<f64>,
-        width: usize,
-    ) -> impl Iterator<Item = BasisState> {
+impl FeatureHead for NnDiscriminator {
+    /// Widens the rows once to the trained `f64` standardizer, then runs one
+    /// batched forward pass and maps each row's class to its basis state.
+    fn classify_rows<R: Real>(&self, rows: &[R], width: usize, out: &mut Vec<BasisState>) {
+        let mut features: Vec<f64> = rows.iter().map(|v| v.to_f64()).collect();
         self.standardizer.transform_rows_inplace(&mut features);
         let x = Matrix::from_vec(features.len() / width, width, features);
-        self.net
-            .predict_rows(&x)
-            .into_iter()
-            .map(|c| BasisState::new(c as u32))
-    }
-
-    fn features_of(&self, raw: &IqTrace, bins: Option<&[usize]>) -> Vec<f64> {
-        let traces = self.demod.demodulate(raw);
-        let f = match bins {
-            Some(b) => self.bank.features_truncated(&traces, b),
-            None => self.bank.features(&traces),
-        };
-        self.standardizer.transform(&f)
+        out.extend(
+            self.net
+                .predict_rows(&x)
+                .into_iter()
+                .map(|c| BasisState::new(c as u32)),
+        );
     }
 }
 
@@ -123,29 +108,28 @@ impl Discriminator for NnDiscriminator {
     }
 
     fn n_qubits(&self) -> usize {
-        self.bank.n_qubits()
+        self.front.bank().n_qubits()
     }
 
     fn discriminate(&self, raw: &IqTrace) -> BasisState {
-        let f = self.features_of(raw, None);
-        BasisState::new(self.net.predict(&f) as u32)
+        self.front.classify(self, raw, None)
     }
 
     fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        let kernel = self.kernels.get::<f64>();
-        if !kernel.matches(batch) || batch.is_empty() {
-            return (0..batch.n_shots())
-                .map(|s| self.discriminate(&batch.trace(s)))
-                .collect();
-        }
-        let mut features = Vec::new();
-        kernel.features_batch(batch, &mut features);
-        self.classify_rows(features, kernel.n_features()).collect()
+        self.front.classify_batch(self, batch)
+    }
+
+    fn discriminate_shot_batch_into(
+        &self,
+        batch: &ShotBatch,
+        scratch: &mut Vec<f64>,
+        out: &mut Vec<BasisState>,
+    ) {
+        self.front.classify_batch_into(self, batch, scratch, out);
     }
 
     fn discriminate_truncated(&self, raw: &IqTrace, bins: &[usize]) -> Option<BasisState> {
-        let f = self.features_of(raw, Some(bins));
-        Some(BasisState::new(self.net.predict(&f) as u32))
+        Some(self.front.classify(self, raw, Some(bins)))
     }
 
     fn discriminate_truncated_batch(
@@ -153,53 +137,18 @@ impl Discriminator for NnDiscriminator {
         raws: &[&IqTrace],
         bins: &[usize],
     ) -> Option<Vec<BasisState>> {
-        // Full-length batches: one cached per-duration fused kernel, then
-        // in-place standardization and one batched forward pass — the same
-        // shape as the full-duration hot path. Ragged batches keep the
-        // per-shot feature walk.
-        match self.truncated.features_for_batch(
-            &self.demod,
-            &self.bank,
-            raws,
-            bins,
-            self.kernels.n_samples(),
-        ) {
-            Some((features, width)) => Some(self.classify_rows(features, width).collect()),
-            None => {
-                let features: Vec<Vec<f64>> = raws
-                    .iter()
-                    .map(|r| self.features_of(r, Some(bins)))
-                    .collect();
-                Some(
-                    self.net
-                        .predict_batch(&features)
-                        .into_iter()
-                        .map(|c| BasisState::new(c as u32))
-                        .collect(),
-                )
-            }
-        }
+        Some(self.front.classify_truncated_batch(self, raws, bins))
     }
 }
 
 impl PrecisionDiscriminator<f32> for NnDiscriminator {
-    /// Fused features at `f32` (the dominant `[shots × 2T]` GEMM), widened
-    /// once to the trained `f64` standardizer + small FNN head.
     fn discriminate_shot_batch_r_into(
         &self,
         batch: &ShotBatch<f32>,
         scratch: &mut Vec<f32>,
         out: &mut Vec<BasisState>,
     ) {
-        out.clear();
-        let kernel = self.kernels.get::<f32>();
-        if !kernel.matches(batch) || batch.is_empty() {
-            out.extend((0..batch.n_shots()).map(|s| self.discriminate(&batch.trace(s))));
-            return;
-        }
-        kernel.features_batch(batch, scratch);
-        let features = scratch.iter().map(|&v| f64::from(v)).collect();
-        out.extend(self.classify_rows(features, kernel.n_features()));
+        self.front.classify_batch_into(self, batch, scratch, out);
     }
 }
 

@@ -5,6 +5,7 @@
 //! filter outputs — that is what lets a linear model subtract the linear part
 //! of readout crosstalk (paper §4.3.3, Table 2's `MF-RMF-SVM` row).
 
+use herqles_num::Real;
 use readout_classifiers::LinearSvm;
 use readout_dsp::Demodulator;
 use readout_nn::Standardizer;
@@ -13,15 +14,12 @@ use readout_sim::ShotBatch;
 
 use crate::bank::FilterBank;
 use crate::designs::{Discriminator, PrecisionDiscriminator};
-use crate::fused::{PrecisionKernels, TruncatedKernelCache};
+use crate::fused::{FeatureHead, FilterFrontEnd};
 
 /// Linear-SVM discriminator over filter-bank features.
 #[derive(Debug, Clone)]
 pub struct SvmDiscriminator {
-    demod: Demodulator,
-    bank: FilterBank,
-    kernels: PrecisionKernels,
-    truncated: TruncatedKernelCache,
+    front: FilterFrontEnd,
     standardizer: Standardizer,
     svms: Vec<LinearSvm>,
     name: &'static str,
@@ -52,12 +50,8 @@ impl SvmDiscriminator {
         } else {
             "mf-svm"
         };
-        let kernels = PrecisionKernels::new(&demod, &bank);
         SvmDiscriminator {
-            demod,
-            bank,
-            kernels,
-            truncated: TruncatedKernelCache::new(),
+            front: FilterFrontEnd::new(demod, bank),
             standardizer,
             svms,
             name,
@@ -66,16 +60,24 @@ impl SvmDiscriminator {
 
     /// The underlying filter bank.
     pub fn bank(&self) -> &FilterBank {
-        &self.bank
+        self.front.bank()
     }
+}
 
-    fn classify_features(&self, features: &[f64]) -> BasisState {
-        let f = self.standardizer.transform(features);
-        let mut state = BasisState::new(0);
-        for (q, svm) in self.svms.iter().enumerate() {
-            state = state.with_qubit(q, svm.predict(&f));
-        }
-        state
+impl FeatureHead for SvmDiscriminator {
+    /// Widens the rows once to the trained `f64` standardizer + linear heads
+    /// — a hardware pipeline whose MAC banks may run narrow while the tiny
+    /// head runs at full precision.
+    fn classify_rows<R: Real>(&self, rows: &[R], width: usize, out: &mut Vec<BasisState>) {
+        let mut features: Vec<f64> = rows.iter().map(|v| v.to_f64()).collect();
+        self.standardizer.transform_rows_inplace(&mut features);
+        out.extend(features.chunks(width).map(|f| {
+            let mut state = BasisState::new(0);
+            for (q, svm) in self.svms.iter().enumerate() {
+                state = state.with_qubit(q, svm.predict(f));
+            }
+            state
+        }));
     }
 }
 
@@ -85,39 +87,28 @@ impl Discriminator for SvmDiscriminator {
     }
 
     fn n_qubits(&self) -> usize {
-        self.bank.n_qubits()
+        self.front.bank().n_qubits()
     }
 
     fn discriminate(&self, raw: &IqTrace) -> BasisState {
-        let traces = self.demod.demodulate(raw);
-        self.classify_features(&self.bank.features(&traces))
+        self.front.classify(self, raw, None)
     }
 
     fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        let kernel = self.kernels.get::<f64>();
-        if !kernel.matches(batch) {
-            return (0..batch.n_shots())
-                .map(|s| self.discriminate(&batch.trace(s)))
-                .collect();
-        }
-        let mut features = Vec::new();
-        kernel.features_batch(batch, &mut features);
-        self.standardizer.transform_rows_inplace(&mut features);
-        features
-            .chunks(kernel.n_features().max(1))
-            .map(|f| {
-                let mut state = BasisState::new(0);
-                for (q, svm) in self.svms.iter().enumerate() {
-                    state = state.with_qubit(q, svm.predict(f));
-                }
-                state
-            })
-            .collect()
+        self.front.classify_batch(self, batch)
+    }
+
+    fn discriminate_shot_batch_into(
+        &self,
+        batch: &ShotBatch,
+        scratch: &mut Vec<f64>,
+        out: &mut Vec<BasisState>,
+    ) {
+        self.front.classify_batch_into(self, batch, scratch, out);
     }
 
     fn discriminate_truncated(&self, raw: &IqTrace, bins: &[usize]) -> Option<BasisState> {
-        let traces = self.demod.demodulate(raw);
-        Some(self.classify_features(&self.bank.features_truncated(&traces, bins)))
+        Some(self.front.classify(self, raw, Some(bins)))
     }
 
     fn discriminate_truncated_batch(
@@ -125,56 +116,18 @@ impl Discriminator for SvmDiscriminator {
         raws: &[&IqTrace],
         bins: &[usize],
     ) -> Option<Vec<BasisState>> {
-        // One cached per-duration fused kernel per budget vector; the batch
-        // GEMM replaces the per-shot demod walk of the default method.
-        match self.truncated.features_for_batch(
-            &self.demod,
-            &self.bank,
-            raws,
-            bins,
-            self.kernels.n_samples(),
-        ) {
-            Some((features, width)) => Some(
-                features
-                    .chunks(width.max(1))
-                    .map(|f| self.classify_features(f))
-                    .collect(),
-            ),
-            None => raws
-                .iter()
-                .map(|r| self.discriminate_truncated(r, bins))
-                .collect(),
-        }
+        Some(self.front.classify_truncated_batch(self, raws, bins))
     }
 }
 
 impl PrecisionDiscriminator<f32> for SvmDiscriminator {
-    /// Fused features at `f32` (the dominant `[shots × 2T]` GEMM), widened
-    /// once to the trained `f64` standardizer + linear heads — mirroring a
-    /// hardware pipeline where the MAC banks run narrow and the tiny head
-    /// runs at full precision.
     fn discriminate_shot_batch_r_into(
         &self,
         batch: &ShotBatch<f32>,
         scratch: &mut Vec<f32>,
         out: &mut Vec<BasisState>,
     ) {
-        out.clear();
-        let kernel = self.kernels.get::<f32>();
-        if !kernel.matches(batch) {
-            out.extend((0..batch.n_shots()).map(|s| self.discriminate(&batch.trace(s))));
-            return;
-        }
-        kernel.features_batch(batch, scratch);
-        let mut features: Vec<f64> = scratch.iter().map(|&v| f64::from(v)).collect();
-        self.standardizer.transform_rows_inplace(&mut features);
-        out.extend(features.chunks(kernel.n_features().max(1)).map(|f| {
-            let mut state = BasisState::new(0);
-            for (q, svm) in self.svms.iter().enumerate() {
-                state = state.with_qubit(q, svm.predict(f));
-            }
-            state
-        }));
+        self.front.classify_batch_into(self, batch, scratch, out);
     }
 }
 
@@ -260,7 +213,7 @@ mod tests {
         let trained = train_mf_svm(&ds);
         let _ = SvmDiscriminator::new(
             Demodulator::new(&cfg),
-            trained.bank.clone(),
+            trained.bank().clone(),
             trained.standardizer.clone(),
             vec![],
         );

@@ -20,6 +20,10 @@
 //! GEMM whose per-feature weight rows stream contiguously (the software
 //! mirror of the paper's pipelined FPGA MAC banks).
 //!
+//! [`FilterFrontEnd`] owns the compiled kernels together with the
+//! demodulator, the bank and the truncated-kernel cache: it is the one front
+//! end of every matched-filter design, which adds only its decision head.
+//!
 //! Batched and per-shot features differ only by floating-point
 //! reassociation (the sum over `t` is grouped per bin on the per-shot path),
 //! bounded by ~1e-12 relative error; the parity tests in
@@ -32,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use herqles_num::Real;
 use readout_dsp::Demodulator;
 use readout_nn::matrix::gemm_rt_into;
-use readout_sim::trace::IqTrace;
+use readout_sim::trace::{BasisState, IqTrace};
 use readout_sim::ShotBatch;
 
 use crate::bank::FilterBank;
@@ -186,36 +190,58 @@ impl<R: Real> FusedFilterKernel<R> {
     }
 }
 
-/// Both precision instantiations of one compiled filter bank, selected
-/// statically by the pipeline's `R`.
+/// The matched-filter front end every fused design shares: demodulator,
+/// filter bank, the bank compiled to [`FusedFilterKernel`]s at both pipeline
+/// precisions, and the lazily compiled truncated-duration kernels.
 ///
-/// Every fused design owns one of these so a single trained discriminator
-/// can serve `f64` and `f32` batches; [`PrecisionKernels::get`] resolves the
-/// matching kernel at monomorphization time (the `Any` downcast folds to a
-/// constant branch because [`Real`] is sealed to exactly two types).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrecisionKernels {
+/// The `mf`, `mf-svm` and `mf-nn` designs (and their RMF variants) are this
+/// front end plus a decision head, so the per-shot demod walk, the batched
+/// GEMM with its per-shot fallback, and the truncated-batch routing exist
+/// once, here.
+#[derive(Debug, Clone)]
+pub struct FilterFrontEnd {
+    demod: Demodulator,
+    bank: FilterBank,
     k64: FusedFilterKernel<f64>,
     k32: FusedFilterKernel<f32>,
+    truncated: TruncatedKernelCache,
 }
 
-impl PrecisionKernels {
+impl FilterFrontEnd {
     /// Compiles `bank` at both precisions.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`FusedFilterKernel::new`].
-    pub fn new(demod: &Demodulator, bank: &FilterBank) -> Self {
-        let k64 = FusedFilterKernel::new(demod, bank);
+    pub fn new(demod: Demodulator, bank: FilterBank) -> Self {
+        let k64 = FusedFilterKernel::new(&demod, &bank);
         // The f32 plane is the f64 one rounded element-wise — identical to
         // compiling at f32 (weight math runs in f64 either way), at half
         // the compile cost.
         let k32 = k64.to_precision::<f32>();
-        PrecisionKernels { k64, k32 }
+        FilterFrontEnd {
+            demod,
+            bank,
+            k64,
+            k32,
+            truncated: TruncatedKernelCache::new(),
+        }
     }
 
-    /// The kernel matching the pipeline precision `R`.
-    pub fn get<R: Real>(&self) -> &FusedFilterKernel<R> {
+    /// The demodulator the bank was trained with.
+    pub(crate) fn demod(&self) -> &Demodulator {
+        &self.demod
+    }
+
+    /// The filter bank.
+    pub(crate) fn bank(&self) -> &FilterBank {
+        &self.bank
+    }
+
+    /// The compiled kernel matching the pipeline precision `R`, resolved at
+    /// monomorphization time (the `Any` downcast folds to a constant branch
+    /// because [`Real`] is sealed to exactly two types).
+    pub fn kernel<R: Real>(&self) -> &FusedFilterKernel<R> {
         let k64: &dyn Any = &self.k64;
         if let Some(k) = k64.downcast_ref::<FusedFilterKernel<R>>() {
             return k;
@@ -225,15 +251,112 @@ impl PrecisionKernels {
             .expect("Real is sealed to f32 and f64")
     }
 
-    /// Feature-vector width (`N` without RMFs, `2N` with).
-    pub fn n_features(&self) -> usize {
-        self.k64.n_features()
+    /// Row width of every feature matrix the front end hands a head.
+    fn width(&self) -> usize {
+        self.k64.n_features().max(1)
     }
 
-    /// Raw samples per shot the kernels were compiled for.
-    pub fn n_samples(&self) -> usize {
-        self.k64.n_samples()
+    /// One shot's features through the per-bin demod walk: the full window
+    /// for `bins = None`, else each qubit's first `bins[q]` bins.
+    pub(crate) fn features(&self, raw: &IqTrace, bins: Option<&[usize]>) -> Vec<f64> {
+        let traces = self.demod.demodulate(raw);
+        match bins {
+            Some(bins) => self.bank.features_truncated(&traces, bins),
+            None => self.bank.features(&traces),
+        }
     }
+
+    /// The whole batch's features at precision `R`, one fused GEMM into the
+    /// caller's `out` (`[n_shots × n_features]`). Returns `false`, leaving
+    /// `out` empty, when the batch is empty or its sample count is not the
+    /// compiled window's; the caller then classifies per shot.
+    pub(crate) fn features_batch<R: Real>(&self, batch: &ShotBatch<R>, out: &mut Vec<R>) -> bool {
+        let kernel = self.kernel::<R>();
+        if batch.is_empty() || !kernel.matches(batch) {
+            out.clear();
+            return false;
+        }
+        kernel.features_batch(batch, out);
+        true
+    }
+
+    /// Classifies one shot (full window or truncated) through `head`.
+    pub(crate) fn classify(
+        &self,
+        head: &impl FeatureHead,
+        raw: &IqTrace,
+        bins: Option<&[usize]>,
+    ) -> BasisState {
+        let mut out = Vec::with_capacity(1);
+        head.classify_rows(&self.features(raw, bins), self.width(), &mut out);
+        out[0]
+    }
+
+    /// Classifies a packed batch into `out` through the caller's `scratch`
+    /// (left holding the feature rows): one fused GEMM, or per shot when
+    /// [`FilterFrontEnd::features_batch`] declines.
+    pub(crate) fn classify_batch_into<R: Real>(
+        &self,
+        head: &impl FeatureHead,
+        batch: &ShotBatch<R>,
+        scratch: &mut Vec<R>,
+        out: &mut Vec<BasisState>,
+    ) {
+        out.clear();
+        if self.features_batch(batch, scratch) {
+            head.classify_rows(scratch, self.width(), out);
+        } else {
+            out.extend((0..batch.n_shots()).map(|s| self.classify(head, &batch.trace(s), None)));
+        }
+    }
+
+    /// [`FilterFrontEnd::classify_batch_into`] with fresh buffers.
+    pub(crate) fn classify_batch(
+        &self,
+        head: &impl FeatureHead,
+        batch: &ShotBatch,
+    ) -> Vec<BasisState> {
+        let mut out = Vec::new();
+        self.classify_batch_into(head, batch, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Classifies `raws` under per-qubit bin budgets through `head`.
+    /// Full-window batches go through the cached per-duration kernel (one
+    /// GEMM); ragged or shortened traces walk per shot.
+    pub(crate) fn classify_truncated_batch(
+        &self,
+        head: &impl FeatureHead,
+        raws: &[&IqTrace],
+        bins: &[usize],
+    ) -> Vec<BasisState> {
+        let features = match ShotBatch::try_from_traces(raws).filter(|b| self.k64.matches(b)) {
+            Some(batch) => {
+                let mut features = Vec::new();
+                self.truncated
+                    .get_or_compile(&self.demod, &self.bank, bins)
+                    .features_batch(&batch, &mut features);
+                features
+            }
+            None => raws
+                .iter()
+                .flat_map(|raw| self.features(raw, Some(bins)))
+                .collect(),
+        };
+        let mut out = Vec::with_capacity(raws.len());
+        if !features.is_empty() {
+            head.classify_rows(&features, self.width(), &mut out);
+        }
+        out
+    }
+}
+
+/// The decision stage behind a [`FilterFrontEnd`]: what a fused design does
+/// with its feature rows.
+pub(crate) trait FeatureHead {
+    /// Appends one state per row of the non-empty row-major
+    /// `[rows × width]` feature matrix to `out`.
+    fn classify_rows<R: Real>(&self, rows: &[R], width: usize, out: &mut Vec<BasisState>);
 }
 
 /// Lazy cache of per-duration truncated kernels, keyed by the per-qubit bin
@@ -292,30 +415,6 @@ impl TruncatedKernelCache {
         let kernel = Arc::new(FusedFilterKernel::new_truncated(demod, bank, budgets));
         let mut kernels = self.kernels.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(kernels.entry(budgets.to_vec()).or_insert(kernel))
-    }
-
-    /// The shared front half of every design's `discriminate_truncated_batch`
-    /// override: packs `raws`, routes them through the cached per-duration
-    /// kernel, and returns `(features, width)` — `features` row-major
-    /// `[n_shots × width]`. Returns `None` when the batch is ragged or its
-    /// sample count differs from `expected_samples` (the kernel's compiled
-    /// window); callers then fall back to the per-shot truncated walk.
-    pub fn features_for_batch(
-        &self,
-        demod: &Demodulator,
-        bank: &FilterBank,
-        raws: &[&IqTrace],
-        budgets: &[usize],
-        expected_samples: usize,
-    ) -> Option<(Vec<f64>, usize)> {
-        let batch: ShotBatch = ShotBatch::try_from_traces(raws)?;
-        if batch.n_samples() != expected_samples {
-            return None;
-        }
-        let kernel = self.get_or_compile(demod, bank, budgets);
-        let mut features = Vec::new();
-        kernel.features_batch(&batch, &mut features);
-        Some((features, kernel.n_features()))
     }
 
     /// Number of distinct durations compiled so far.
@@ -424,26 +523,42 @@ mod tests {
     fn rounded_f32_kernel_is_bit_identical_to_a_recompiled_one() {
         let (_, demod, bank) = trained_setup(true);
         let recompiled: FusedFilterKernel<f32> = FusedFilterKernel::new(&demod, &bank);
-        let rounded = PrecisionKernels::new(&demod, &bank).get::<f32>().clone();
-        assert_eq!(recompiled, rounded);
+        let front = FilterFrontEnd::new(demod, bank);
+        assert_eq!(&recompiled, front.kernel::<f32>());
     }
 
     #[test]
     fn precision_kernels_select_by_type_and_agree_across_precisions() {
         let (ds, demod, bank) = trained_setup(true);
-        let kernels = PrecisionKernels::new(&demod, &bank);
-        assert_eq!(kernels.n_features(), bank.n_features());
+        let n_features = bank.n_features();
+        let front = FilterFrontEnd::new(demod, bank);
         let batch64: ShotBatch = ShotBatch::from_shots(&ds.shots[..8]);
         let batch32: ShotBatch<f32> = ShotBatch::from_shots(&ds.shots[..8]);
         let mut f64_out = Vec::new();
-        kernels.get::<f64>().features_batch(&batch64, &mut f64_out);
+        assert!(front.features_batch(&batch64, &mut f64_out));
         let mut f32_out = Vec::new();
-        kernels.get::<f32>().features_batch(&batch32, &mut f32_out);
+        assert!(front.features_batch(&batch32, &mut f32_out));
+        assert_eq!(f64_out.len(), 8 * n_features);
         assert_eq!(f64_out.len(), f32_out.len());
         for (a, b) in f64_out.iter().zip(&f32_out) {
             let rel = (a - f64::from(*b)).abs() / a.abs().max(1.0);
             assert!(rel < 1e-4, "f32 feature diverges: {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn front_end_declines_empty_and_mismatched_batches() {
+        let (ds, demod, bank) = trained_setup(false);
+        let front = FilterFrontEnd::new(demod, bank);
+        let mut out = vec![1.0; 4];
+        let empty: ShotBatch = ShotBatch::with_capacity(0, front.kernel::<f64>().n_samples());
+        assert!(!front.features_batch(&empty, &mut out));
+        assert!(out.is_empty(), "a declined batch leaves no stale features");
+        let cut = ds.shots[0].raw.truncated(10);
+        let short: ShotBatch<f32> = ShotBatch::try_from_traces(&[&cut]).unwrap();
+        let mut out32 = vec![1.0f32; 4];
+        assert!(!front.features_batch(&short, &mut out32));
+        assert!(out32.is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod trainer;
 
 pub use bank::FilterBank;
 pub use designs::{DesignKind, Discriminator, PrecisionDiscriminator};
-pub use fused::{FusedFilterKernel, PrecisionKernels, TruncatedKernelCache};
+pub use fused::{FilterFrontEnd, FusedFilterKernel, TruncatedKernelCache};
 pub use herqles_num::Real;
 pub use metrics::{evaluate, EvalResult};
 pub use relabel::identify_relaxation_traces;

@@ -12,7 +12,7 @@ use herqles_core::designs::DesignKind;
 use herqles_core::trainer::{ReadoutTrainer, TrainerConfig};
 use herqles_core::{Discriminator, PrecisionDiscriminator};
 use readout_nn::TrainConfig;
-use readout_sim::{ChipConfig, Dataset, ShotBatch};
+use readout_sim::{BasisState, ChipConfig, Dataset, ShotBatch};
 
 /// Shots per basis state of the evaluation dataset (2-qubit chip → ×4).
 const EVAL_SHOTS_PER_STATE: usize = 500;
@@ -42,11 +42,34 @@ fn setup() -> (ReadoutTrainer<'static>, ShotBatch, ShotBatch<f32>) {
     (trainer, batch64, batch32)
 }
 
+/// Pins a design's f32 labels to its f64 labels, and its 0-shot batches to
+/// no labels at both precisions.
 fn assert_agreement<D: Discriminator + PrecisionDiscriminator<f32>>(
     disc: &D,
     batch64: &ShotBatch,
     batch32: &ShotBatch<f32>,
 ) {
+    // A 0-shot batch yields no labels at either precision, and clears the
+    // caller's stale output.
+    let empty64: ShotBatch = ShotBatch::with_capacity(0, batch64.n_samples());
+    let empty32: ShotBatch<f32> = ShotBatch::with_capacity(0, batch32.n_samples());
+    assert!(
+        disc.discriminate_shot_batch(&empty64).is_empty(),
+        "{}",
+        disc.name()
+    );
+    assert!(
+        disc.discriminate_shot_batch_r(&empty32).is_empty(),
+        "{}",
+        disc.name()
+    );
+    let mut out = vec![BasisState::new(1)];
+    disc.discriminate_shot_batch_into(&empty64, &mut Vec::new(), &mut out);
+    assert!(out.is_empty(), "{}: f64 0-shot batch", disc.name());
+    out.push(BasisState::new(1));
+    disc.discriminate_shot_batch_r_into(&empty32, &mut Vec::new(), &mut out);
+    assert!(out.is_empty(), "{}: f32 0-shot batch", disc.name());
+
     let states64 = disc.discriminate_shot_batch(batch64);
     let states32 = disc.discriminate_shot_batch_r(batch32);
     assert_eq!(states64.len(), states32.len());

@@ -166,11 +166,6 @@ impl ShardPool {
         }
     }
 
-    /// A pool sized to the machine (`std::thread::available_parallelism`).
-    pub fn with_default_parallelism() -> Self {
-        ShardPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
     /// Total parallelism: background workers plus the calling thread.
     pub fn threads(&self) -> usize {
         self.workers.len() + 1

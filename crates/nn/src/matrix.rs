@@ -297,9 +297,9 @@ impl<R: Real> Matrix<R> {
 /// `out` is fully overwritten. The kernel tiles `rhs` into `KC × NC` blocks
 /// that stay L1-resident while every output row streams against them, and
 /// splits output rows across scoped threads once the MAC count crosses
-/// [`PARALLEL_THRESHOLD`]. This is the workhorse behind both [`Matrix::matmul`]
-/// and the zero-copy batched readout-inference kernels, which own flat
-/// buffers rather than `Matrix` values.
+/// `PARALLEL_THRESHOLD` (2^18). This is the workhorse behind both
+/// [`Matrix::matmul`] and the zero-copy batched readout-inference kernels,
+/// which own flat buffers rather than `Matrix` values.
 ///
 /// # Panics
 ///

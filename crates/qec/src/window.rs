@@ -85,11 +85,6 @@ impl SlidingWindowDecoder {
         self.lag
     }
 
-    /// West parity accumulated from committed clusters so far.
-    pub fn committed_west(&self) -> usize {
-        self.west
-    }
-
     /// Clusters committed ahead of the block end so far.
     pub fn committed_clusters(&self) -> usize {
         self.committed_clusters

@@ -154,16 +154,6 @@ impl IqTrace {
         IqPoint::new(self.i[t], self.q[t])
     }
 
-    /// Sets the sample at time index `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of bounds.
-    pub fn set_sample(&mut self, t: usize, p: IqPoint) {
-        self.i[t] = p.i;
-        self.q[t] = p.q;
-    }
-
     /// Appends a sample at the end of the trace.
     pub fn push(&mut self, p: IqPoint) {
         self.i.push(p.i);

@@ -10,9 +10,14 @@
 //! coin flip. Blocks terminate with a perfect round, are copied into one of
 //! two double-buffered [`SyndromeBlock`] homes, and decoded.
 //!
-//! After a warm-up cycle the per-round path performs **zero heap
-//! allocation**: every buffer ([`RoundBuffers`], the synth scratch, the
-//! syndrome stepper's event store) is pre-sized and reused. The engine
+//! After a warm-up cycle the engine's own per-round path performs **zero
+//! heap allocation**: every buffer ([`RoundBuffers`], the synth scratch, the
+//! syndrome stepper's event store) is pre-sized and reused. A whole round is
+//! allocation-free when the discriminator's buffered batch path is too:
+//! `tests/alloc.rs` pins that for `mf` (at `f64` and `f32`) and
+//! `mf-adaptive`. The `mf-svm` and `mf-nn` heads widen their feature rows
+//! into a fresh `f64` buffer every call, and `centroid` and `baseline` take
+//! the allocating default batch path at `f64`. The engine
 //! exposes a blocking [`CycleEngine::run_cycles`] API and a pull-based
 //! [`CycleEngine::cycles`] iterator of [`CycleResult`]s carrying per-stage
 //! nanosecond timings.
@@ -30,8 +35,8 @@
 //! randomness from SplitMix64-derived streams ([`herqles_exec::stream_seed`]
 //! over a single per-round entropy word from the master RNG), output is
 //! **bit-identical at every pool size** and to the offline materializing
-//! reference. Warm cycles keep the zero-allocation invariant: job dispatch
-//! on the pool allocates nothing.
+//! reference. Job dispatch on the pool allocates nothing, so pooled warm
+//! cycles are as allocation-free as serial ones.
 //!
 //! Stage accounting is the same at every pool size: the consume stage
 //! charges its own discriminate, syndrome and decode time, and synthesis is

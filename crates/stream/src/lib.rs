@@ -12,8 +12,9 @@
 //!        ─▶ decode → logical verdict
 //! ```
 //!
-//! with **no intermediate `Vec<BasisState>` and no per-round allocation
-//! after warm-up**. The measurement error εR of the phenomenological model
+//! with **no intermediate `Vec<BasisState>`**, and with **no per-round
+//! allocation after warm-up** for the `mf` and `mf-adaptive` discriminators
+//! (`tests/alloc.rs`; the other designs' heads allocate). The measurement error εR of the phenomenological model
 //! is replaced by the physical thing it abstracts: misdiscrimination of
 //! synthesized multiplexed readout waveforms.
 //!
@@ -25,7 +26,7 @@
 //!   [`CycleEngine::with_pool`]): feedline groups become shards, each owning
 //!   its [`RoundSynth`], and round `t+1`'s synthesis overlaps round `t`'s
 //!   discriminate → syndrome → window-decode stage. Bit-identical at every
-//!   pool size, zero-allocation once warm;
+//!   pool size; pool dispatch adds no allocation;
 //! * [`RoundSynth`] — re-exported from `readout_sim`: the one readout
 //!   synthesizer, which also generates the calibration [`Dataset`]s the
 //!   discriminators train on, writing each round's multiplexed feedline

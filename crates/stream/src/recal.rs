@@ -1,16 +1,16 @@
 //! Online recalibration: a self-harvesting, hot-swappable MF discriminator.
 //!
-//! [`AdaptiveMf`] wraps the `mf` design's fused demod + matched-filter GEMM
-//! behind a **generation-counted atomic calibration slot**: every batch
-//! discriminate loads the current [`Arc`]'d calibration (a read lock plus a
-//! refcount bump — no allocation), so a retrain can build a complete new
-//! calibration off to the side and [`SwapSlot::swap`] it in while the
-//! engine keeps streaming. Readers either see the old calibration or the
-//! new one, never a torn mix of old filters and new thresholds.
+//! [`AdaptiveMf`] publishes a trained [`MfDiscriminator`] behind a
+//! **generation-counted atomic slot**: every batch discriminate loads the
+//! current [`Arc`]'d discriminator (a read lock plus a refcount bump — no
+//! allocation) and runs its fused batch path, so a retrain can build a
+//! complete new discriminator off to the side and [`SwapSlot::swap`] it in
+//! while the engine keeps streaming. Readers either see the old calibration
+//! or the new one, never a torn mix of old filters and new thresholds.
 //!
 //! While discriminating, the design *harvests its own training data*: shots
 //! whose soft margin clears a self-normalizing confidence gate are copied
-//! (raw window + self-assigned label) into a fixed-capacity [`WindowRing`].
+//! (raw window + self-assigned label) into a fixed-capacity window ring.
 //! [`AdaptiveMf::recalibrate`] then
 //!
 //! 1. averages the confident raw windows per qubit per class and
@@ -18,11 +18,12 @@
 //!    mean *is* the mean demodulated trace),
 //! 2. rebuilds each drifted qubit's matched filter from the
 //!    excited-minus-ground mean envelope,
-//! 3. re-featurizes the harvested windows through the new
-//!    [`herqles_core::FusedFilterKernel`] — one tall-skinny GEMM on the
-//!    `herqles-num` kernel layer — and refits the per-qubit thresholds on
-//!    those features,
-//! 4. swaps the new calibration in atomically, bumping the generation.
+//! 3. compiles the new bank's [`FilterFrontEnd`] once, re-featurizes the
+//!    harvested windows through its fused kernel — one tall-skinny GEMM on
+//!    the `herqles-num` kernel layer — and refits the per-qubit thresholds
+//!    on those features,
+//! 4. swaps the resulting [`MfDiscriminator`] in atomically, bumping the
+//!    generation.
 //!
 //! The retrain path may allocate (it is a rare control-plane event, and the
 //! streaming engine can hide it behind synthesis via
@@ -38,10 +39,9 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use herqles_core::bank::FilterBank;
 use herqles_core::designs::MfDiscriminator;
-use herqles_core::{Discriminator, PrecisionDiscriminator, PrecisionKernels, Real};
+use herqles_core::{Discriminator, FilterFrontEnd, PrecisionDiscriminator, Real};
 use readout_classifiers::ThresholdDiscriminator;
 use readout_dsp::filters::MatchedFilter;
-use readout_dsp::Demodulator;
 use readout_sim::trace::{BasisState, IqTrace};
 use readout_sim::ShotBatch;
 
@@ -97,25 +97,6 @@ impl<T> SwapSlot<T> {
     /// Generation of the published value (0 before any swap).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
-    }
-}
-
-/// One immutable calibration: filters, fused kernels, thresholds. Swapped
-/// wholesale so readers never observe a torn calibration.
-#[derive(Debug)]
-struct Calibration {
-    bank: FilterBank,
-    kernels: PrecisionKernels,
-    thresholds: Vec<ThresholdDiscriminator>,
-}
-
-impl Calibration {
-    fn classify_features<R: Real>(&self, features: &[R]) -> BasisState {
-        let mut state = BasisState::new(0);
-        for (q, threshold) in self.thresholds.iter().enumerate() {
-            state = state.with_qubit(q, threshold.classify_a(features[q].to_f64()));
-        }
-        state
     }
 }
 
@@ -206,40 +187,28 @@ impl Default for RecalConfig {
     }
 }
 
-/// The `mf` design wrapped in an atomic, self-recalibrating shell: same
-/// fused batch hot path, plus window harvesting and
+/// The `mf` design wrapped in an atomic, self-recalibrating shell: the
+/// published [`MfDiscriminator`]'s batch hot path, plus window harvesting and
 /// [`Recalibrate::recalibrate`].
 ///
 /// Implements [`Discriminator`] (and `PrecisionDiscriminator<f32>`), so it
 /// drives a `CycleEngine` at either pipeline precision.
 #[derive(Debug)]
 pub struct AdaptiveMf {
-    demod: Demodulator,
     cfg: RecalConfig,
-    slot: SwapSlot<Calibration>,
+    slot: SwapSlot<MfDiscriminator>,
     ring: Mutex<WindowRing>,
-    n_qubits: usize,
 }
 
 impl AdaptiveMf {
-    /// Wraps a trained [`MfDiscriminator`]'s calibration (filters and
-    /// thresholds are cloned; generation starts at 0).
+    /// Wraps a clone of a trained [`MfDiscriminator`] (generation starts at
+    /// 0).
     pub fn from_mf(mf: &MfDiscriminator, cfg: RecalConfig) -> Self {
-        let demod = mf.demod().clone();
-        let bank = mf.bank().clone();
-        let kernels = PrecisionKernels::new(&demod, &bank);
-        let n_qubits = bank.n_qubits();
-        let width = 2 * demod.n_samples();
+        let width = 2 * mf.demod().n_samples();
         AdaptiveMf {
-            slot: SwapSlot::new(Calibration {
-                bank,
-                kernels,
-                thresholds: mf.thresholds().to_vec(),
-            }),
-            ring: Mutex::new(WindowRing::new(cfg.capacity.max(1), width, n_qubits)),
-            demod,
+            ring: Mutex::new(WindowRing::new(cfg.capacity.max(1), width, mf.n_qubits())),
+            slot: SwapSlot::new(mf.clone()),
             cfg,
-            n_qubits,
         }
     }
 
@@ -250,45 +219,40 @@ impl AdaptiveMf {
 
     /// The live per-qubit decision thresholds (snapshot).
     pub fn thresholds(&self) -> Vec<ThresholdDiscriminator> {
-        self.slot.load().thresholds.clone()
+        self.slot.load().thresholds().to_vec()
     }
 
-    /// The fused batch path at any pipeline precision, plus harvesting.
+    /// The live discriminator's batch path at any pipeline precision, plus
+    /// harvesting.
     fn batch_into_r<R: Real>(
         &self,
         batch: &ShotBatch<R>,
         scratch: &mut Vec<R>,
         out: &mut Vec<BasisState>,
-    ) {
-        let cal = self.slot.load();
-        out.clear();
-        let kernel = cal.kernels.get::<R>();
-        if !kernel.matches(batch) {
-            out.extend((0..batch.n_shots()).map(|s| self.discriminate(&batch.trace(s))));
-            return;
-        }
-        kernel.features_batch(batch, scratch);
-        let width = kernel.n_features().max(1);
-        out.extend(scratch.chunks(width).map(|f| cal.classify_features(f)));
-        self.harvest(&cal, batch, scratch, out);
+    ) where
+        MfDiscriminator: PrecisionDiscriminator<R>,
+    {
+        let mf = self.slot.load();
+        mf.discriminate_shot_batch_r_into(batch, scratch, out);
+        self.harvest(&mf, batch, scratch, out);
     }
 
     /// Updates the per-qubit margin scales and copies confident windows into
-    /// the ring. Allocation-free: fixed ring storage, uncontended mutex.
+    /// the ring. `features` is empty when the batch took the per-shot
+    /// fallback, and then nothing is harvested. Allocation-free: fixed ring
+    /// storage, uncontended mutex.
     fn harvest<R: Real>(
         &self,
-        cal: &Calibration,
+        mf: &MfDiscriminator,
         batch: &ShotBatch<R>,
         features: &[R],
         states: &[BasisState],
     ) {
-        let width = cal.kernels.n_features().max(1);
+        let width = mf.bank().n_features().max(1);
         let mut ring = self.ring.lock().expect("ring poisoned");
-        for s in 0..batch.n_shots() {
-            let f = &features[s * width..(s + 1) * width];
+        for (s, (f, state)) in features.chunks(width).zip(states).enumerate() {
             let mut conf = 0u32;
-            for (q, threshold) in cal.thresholds.iter().enumerate() {
-                let margin = (f[q].to_f64() - threshold.threshold()).abs();
+            for (q, margin) in mf.margins(f).enumerate() {
                 let scale = &mut ring.scale[q];
                 *scale += self.cfg.scale_alpha * (margin - *scale);
                 if margin >= self.cfg.min_margin_frac * *scale {
@@ -296,7 +260,7 @@ impl AdaptiveMf {
                 }
             }
             if conf != 0 {
-                ring.push(batch.i_of(s), batch.q_of(s), states[s].bits(), conf);
+                ring.push(batch.i_of(s), batch.q_of(s), state.bits(), conf);
             }
         }
     }
@@ -308,13 +272,11 @@ impl Discriminator for AdaptiveMf {
     }
 
     fn n_qubits(&self) -> usize {
-        self.n_qubits
+        self.slot.load().n_qubits()
     }
 
     fn discriminate(&self, raw: &IqTrace) -> BasisState {
-        let cal = self.slot.load();
-        let traces = self.demod.demodulate(raw);
-        cal.classify_features(&cal.bank.features(&traces))
+        self.slot.load().discriminate(raw)
     }
 
     fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
@@ -334,14 +296,7 @@ impl Discriminator for AdaptiveMf {
     }
 
     fn soft_margins(&self, features: &[f64], out: &mut [f64]) -> bool {
-        let cal = self.slot.load();
-        if features.len() < cal.thresholds.len() || out.len() < cal.thresholds.len() {
-            return false;
-        }
-        for (q, threshold) in cal.thresholds.iter().enumerate() {
-            out[q] = (features[q] - threshold.threshold()).abs();
-        }
-        true
+        self.slot.load().soft_margins(features, out)
     }
 }
 
@@ -364,30 +319,35 @@ impl Recalibrate for AdaptiveMf {
     }
 
     fn recalibrate(&self) -> Option<u64> {
-        // Snapshot the ring (copy, then release the lock so the hot path
-        // keeps harvesting while we train).
-        let (rows, labels, conf, n_windows) = {
+        // Snapshot the ring into a batch (copy, then release the lock so the
+        // hot path keeps harvesting while we train). A ring slot is laid out
+        // exactly like a batch row: `[i…, q…]`.
+        let (batch, labels, conf) = {
             let ring = self.ring.lock().expect("ring poisoned");
             if ring.len == 0 {
                 return None;
             }
-            let rows: Vec<f64> = ring.data[..ring.len * ring.width].to_vec();
+            let mut batch: ShotBatch<f64> = ShotBatch::with_capacity(ring.len, ring.width / 2);
+            for _ in 0..ring.len {
+                batch.push_empty_row();
+            }
+            batch
+                .as_mut_slice()
+                .copy_from_slice(&ring.data[..ring.len * ring.width]);
             (
-                rows,
+                batch,
                 ring.labels[..ring.len].to_vec(),
                 ring.conf[..ring.len].to_vec(),
-                ring.len,
             )
         };
-        let cal = self.slot.load();
-        let n_samples = self.demod.n_samples();
-        let width = 2 * n_samples;
-        let row = |s: usize| -> &[f64] { &rows[s * width..(s + 1) * width] };
+        let mf = self.slot.load();
+        let (demod, n_qubits) = (mf.demod(), mf.n_qubits());
+        let (n_windows, n_samples) = (batch.n_shots(), batch.n_samples());
         let kern = <f64 as Real>::kernel();
 
         // 1.+2. Per-qubit mean confident window per class → new envelope.
-        let mut mfs = Vec::with_capacity(self.n_qubits);
-        let mut retrained = vec![false; self.n_qubits];
+        let mut mfs = Vec::with_capacity(n_qubits);
+        let mut retrained = vec![false; n_qubits];
         for (q, q_retrained) in retrained.iter_mut().enumerate() {
             let bit = 1u32 << q;
             let excited: Vec<usize> = (0..n_windows)
@@ -397,13 +357,13 @@ impl Recalibrate for AdaptiveMf {
                 .filter(|&s| conf[s] & bit != 0 && labels[s] & bit == 0)
                 .collect();
             if excited.len() < self.cfg.min_windows || ground.len() < self.cfg.min_windows {
-                mfs.push(cal.bank.mf(q).clone());
+                mfs.push(mf.bank().mf(q).clone());
                 continue;
             }
             let mean_demod = |idx: &[usize]| -> IqTrace {
-                let mut acc = vec![0.0f64; width];
+                let mut acc = vec![0.0f64; batch.row_width()];
                 for &s in idx {
-                    kern.axpy(1.0, row(s), &mut acc);
+                    kern.axpy(1.0, batch.row(s), &mut acc);
                 }
                 let inv = 1.0 / idx.len() as f64;
                 for v in &mut acc {
@@ -411,8 +371,7 @@ impl Recalibrate for AdaptiveMf {
                 }
                 let (i_mean, q_mean) = acc.split_at(n_samples);
                 // Demodulation is linear: demod(mean raw) == mean demod.
-                self.demod
-                    .demodulate_qubit(&IqTrace::new(i_mean.to_vec(), q_mean.to_vec()), q)
+                demod.demodulate_qubit(&IqTrace::new(i_mean.to_vec(), q_mean.to_vec()), q)
             };
             let mean_e = mean_demod(&excited);
             let mean_g = mean_demod(&ground);
@@ -437,49 +396,38 @@ impl Recalibrate for AdaptiveMf {
             return None;
         }
 
-        // 3. Refit thresholds on the harvested windows, featurized through
-        //    the new fused kernel — one tall-skinny GEMM on the kernel layer.
-        let bank = FilterBank::new(mfs);
-        let kernels = PrecisionKernels::new(&self.demod, &bank);
-        let mut batch: ShotBatch<f64> = ShotBatch::with_capacity(n_windows, n_samples);
-        for s in 0..n_windows {
-            let (i_dst, q_dst) = batch.push_empty_row();
-            let (i_src, q_src) = row(s).split_at(n_samples);
-            i_dst.copy_from_slice(i_src);
-            q_dst.copy_from_slice(q_src);
-        }
+        // 3. Compile the new bank's front end once and refit thresholds on
+        //    the harvested windows featurized through it — one tall-skinny
+        //    GEMM on the kernel layer.
+        let front = FilterFrontEnd::new(demod.clone(), FilterBank::new(mfs));
         let mut features = Vec::new();
-        kernels.get::<f64>().features_batch(&batch, &mut features);
-        let f_width = kernels.n_features().max(1);
-        let mut thresholds = Vec::with_capacity(self.n_qubits);
-        for q in 0..self.n_qubits {
+        front.kernel::<f64>().features_batch(&batch, &mut features);
+        let mut thresholds = Vec::with_capacity(n_qubits);
+        for q in 0..n_qubits {
             if !retrained[q] {
-                thresholds.push(cal.thresholds[q]);
+                thresholds.push(mf.thresholds()[q]);
                 continue;
             }
             let bit = 1u32 << q;
             let mut excited = Vec::new();
             let mut ground = Vec::new();
-            for s in 0..n_windows {
+            for (s, f) in features.chunks(n_qubits).enumerate() {
                 if conf[s] & bit == 0 {
                     continue;
                 }
-                let v = features[s * f_width + q];
                 if labels[s] & bit != 0 {
-                    excited.push(v);
+                    excited.push(f[q]);
                 } else {
-                    ground.push(v);
+                    ground.push(f[q]);
                 }
             }
             thresholds.push(ThresholdDiscriminator::train(&excited, &ground));
         }
 
         // 4. Atomic publication; stale self-labels die with the old epoch.
-        let generation = self.slot.swap(Calibration {
-            bank,
-            kernels,
-            thresholds,
-        });
+        let generation = self
+            .slot
+            .swap(MfDiscriminator::from_front_end(front, thresholds));
         self.ring.lock().expect("ring poisoned").clear();
         Some(generation)
     }
@@ -533,9 +481,57 @@ mod tests {
                 "generation 0 must classify exactly like the wrapped mf"
             );
         }
+        // The engine's paths: batched labels and feature rows at both
+        // precisions, then the soft margins of every f64 feature row.
+        let features = batch_parity::<f64>(&adaptive, &mf, &ds);
+        batch_parity::<f32>(&adaptive, &mf, &ds);
+        let (mut from_adaptive, mut from_mf) = ([0.0; 2], [0.0; 2]);
+        for row in features.chunks(2) {
+            assert!(adaptive.soft_margins(row, &mut from_adaptive));
+            assert!(mf.soft_margins(row, &mut from_mf));
+            assert_eq!(from_adaptive.map(f64::to_bits), from_mf.map(f64::to_bits));
+        }
+        assert!(!adaptive.soft_margins(&features[..1], &mut from_adaptive));
         assert_eq!(adaptive.generation(), 0);
         assert_eq!(adaptive.name(), "mf-adaptive");
         assert_eq!(adaptive.n_qubits(), 2);
+    }
+
+    /// Runs `ds` through both designs' buffered batch path at precision `R`,
+    /// asserts identical labels and bit-identical feature rows, and returns
+    /// the feature rows widened to `f64`.
+    fn batch_parity<R: Real>(adaptive: &AdaptiveMf, mf: &MfDiscriminator, ds: &Dataset) -> Vec<f64>
+    where
+        AdaptiveMf: PrecisionDiscriminator<R>,
+        MfDiscriminator: PrecisionDiscriminator<R>,
+    {
+        let batch: ShotBatch<R> = ShotBatch::from_shots(&ds.shots);
+        let (mut adaptive_rows, mut adaptive_out) = (Vec::new(), Vec::new());
+        let (mut mf_rows, mut mf_out) = (Vec::new(), Vec::new());
+        PrecisionDiscriminator::<R>::discriminate_shot_batch_r_into(
+            adaptive,
+            &batch,
+            &mut adaptive_rows,
+            &mut adaptive_out,
+        );
+        PrecisionDiscriminator::<R>::discriminate_shot_batch_r_into(
+            mf,
+            &batch,
+            &mut mf_rows,
+            &mut mf_out,
+        );
+        assert_eq!(adaptive_out, mf_out, "batched labels at {}", R::NAME);
+        assert_eq!(adaptive_out.len(), ds.shots.len());
+        let widen = |rows: &[R]| rows.iter().map(|v| v.to_f64()).collect::<Vec<f64>>();
+        let bits = |rows: &[f64]| rows.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let (adaptive_rows, mf_rows) = (widen(&adaptive_rows), widen(&mf_rows));
+        assert_eq!(
+            bits(&adaptive_rows),
+            bits(&mf_rows),
+            "feature rows at {}",
+            R::NAME
+        );
+        adaptive_rows
     }
 
     #[test]

@@ -9,8 +9,6 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::hist::Histogram;
-
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// The process-global monotonic epoch: every [`now_ns`] timestamp is
@@ -87,13 +85,6 @@ impl StageTimer {
     pub fn lap_span_ns(&mut self) -> (u64, u64) {
         let begin = duration_ns(epoch(), self.last);
         (begin, self.lap_ns())
-    }
-
-    /// [`StageTimer::lap_ns`] recorded straight into a [`Histogram`].
-    pub fn record_lap(&mut self, hist: &Histogram) -> u64 {
-        let ns = self.lap_ns();
-        hist.record(ns);
-        ns
     }
 }
 
