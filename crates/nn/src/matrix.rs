@@ -14,7 +14,8 @@
 //!
 //! Every inner loop — one register-resident panel update
 //! ([`Kernel::axpy_panel`]) per output row and tile on the broadcast path,
-//! the multi-accumulator dots of the tall-skinny path — runs on the
+//! one block of dot products ([`Kernel::dot_tile`]) per row block on the
+//! tall-skinny path — runs on the
 //! process-dispatched SIMD microkernel backend ([`herqles_num::kernel`]):
 //! AVX2+FMA on `x86_64` CPUs that support it, the bit-identical-to-history
 //! scalar reference otherwise, overridable with
@@ -31,11 +32,17 @@ use herqles_num::Real;
 /// Minimum number of multiply-accumulates before a matmul (or a whole
 /// `Mlp::forward`) splits its rows across threads.
 ///
-/// Re-measured on the 2-vCPU AVX2 box with the panel microkernel: a scoped
-/// spawn + join of one extra thread costs 15–30 µs, and one thread sustains
-/// 4–13 GMAC/s (64³: 4.6, 256×1000×5 skinny: 7.7, 16×1000×500: 13.5; the
-/// five-qubit head forward ≈ 10). 2^18 MACs is therefore only 20–65 µs of
-/// work, and a two-way split there breaks even at best: the head forward
+/// Measured on the 2-vCPU AVX2 box: a scoped spawn + join of one extra
+/// thread costs 15–30 µs, and one thread sustains 4–13 GMAC/s. With the
+/// panel microkernel: 64³: 4.6, 16×1000×500: 13.5, the five-qubit head
+/// forward ≈ 10. With the dot-tile skinny kernel (one thread pinned to one
+/// core, fastest call of each of 2 runs): 256×1000×5 skinny 9.8–12.0
+/// against 5.9–6.8 for the per-row kernel before it in alternating runs,
+/// and the front end's 1024×1000×10 10.1–11.2 against 6.4–8.1. Those runs
+/// read 64³ at 8.4–10.4 and 16×1000×500 at 5.7–7.7: paths the tile does
+/// not touch, slower than when the panel figures were taken. 2^18 MACs is
+/// therefore only 20–65 µs of work, and a two-way split there breaks even
+/// at best: the head forward
 /// took 25 µs unsplit at 107 rows and 41 µs split at 108 rows (fastest of
 /// 1000). The split pays clearly from ≈ 2^21 MACs — the 1024-shot head
 /// forward runs in ≈ 165 µs split against ≈ 245 µs on one thread. Every
@@ -52,11 +59,16 @@ const KC: usize = 64;
 /// as the tile then shares L1 with the streamed left operand).
 const NC: usize = 64;
 
+/// Output rows per [`Kernel::dot_tile`] on the tall-skinny path: the rows
+/// that share each L1-resident segment of the transposed right operand.
+const ROW_BLOCK: usize = 8;
+
 /// Column count at or below which the kernel switches to the tall-skinny
 /// path ([`Rhs::Skinny`]): transpose `rhs` once, then compute each output
-/// element as a contiguous multi-accumulator dot product. The fused readout
-/// filter banks have 5–10 columns; the dot-product form streams both
-/// operands linearly and keeps its accumulators in registers.
+/// element as a contiguous dot product, a [`ROW_BLOCK`] of rows and up to
+/// this many columns per [`Kernel::dot_tile`]. The fused readout filter
+/// banks have 5–10 columns; the dot-product form streams both operands
+/// linearly and keeps its accumulators in registers.
 const SKINNY_N: usize = 16;
 
 /// A dense row-major matrix of reals.
@@ -478,10 +490,12 @@ pub fn gemm_rt_into_with<R: Real, K: Kernel<R> + ?Sized>(
 }
 
 /// Tall-skinny kernel: `rhs_t` is the `[n × k]` transpose of `rhs`, so every
-/// output element is one linear scan of two contiguous slices. Columns are
-/// register-blocked four at a time ([`Kernel::dot4`] shares each
-/// left-operand load across four accumulator chains), with a plain
-/// [`Kernel::dot`] sweep over the `rcols % 4` remainder.
+/// output element is a dot product of two contiguous slices. Rows go in
+/// blocks of [`ROW_BLOCK`], columns in chunks of up to [`SKINNY_N`], one
+/// [`Kernel::dot_tile`] per block and chunk: the SIMD backends then read
+/// each column segment from memory once per block, not once per row. Every
+/// element of a tile depends only on its own row and column, so a row's
+/// bits do not depend on its block, the batch size or the thread split.
 fn gemm_rows_skinny<R: Real, K: Kernel<R> + ?Sized>(
     kernel: &K,
     lhs: &[R],
@@ -491,31 +505,34 @@ fn gemm_rows_skinny<R: Real, K: Kernel<R> + ?Sized>(
     inner: usize,
     rcols: usize,
 ) {
-    let quad = kernel.quad_blocked();
-    for r in 0..rows {
-        let lhs_row = &lhs[r * inner..(r + 1) * inner];
-        let out_row = &mut out[r * rcols..(r + 1) * rcols];
-        let mut j = 0;
-        if quad {
-            while j + 4 <= rcols {
-                let dots = kernel.dot4(
-                    lhs_row,
-                    [
-                        &rhs_t[j * inner..(j + 1) * inner],
-                        &rhs_t[(j + 1) * inner..(j + 2) * inner],
-                        &rhs_t[(j + 2) * inner..(j + 3) * inner],
-                        &rhs_t[(j + 3) * inner..(j + 4) * inner],
-                    ],
-                );
-                out_row[j..j + 4].copy_from_slice(&dots);
-                j += 4;
-            }
+    let mut a: [&[R]; ROW_BLOCK] = [&[]; ROW_BLOCK];
+    let mut b: [&[R]; SKINNY_N] = [&[]; SKINNY_N];
+    let mut narrow = [R::ZERO; ROW_BLOCK * SKINNY_N];
+    for r0 in (0..rows).step_by(ROW_BLOCK) {
+        let nr = ROW_BLOCK.min(rows - r0);
+        for (i, a) in a[..nr].iter_mut().enumerate() {
+            *a = &lhs[(r0 + i) * inner..(r0 + i + 1) * inner];
         }
-        // Remainder columns — or, for non-quad backends (the scalar
-        // reference), every column: the plain per-column dot is the loop
-        // shape LLVM optimizes best for plain code.
-        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-            *o = kernel.dot(lhs_row, &rhs_t[jj * inner..(jj + 1) * inner]);
+        let out_block = &mut out[r0 * rcols..(r0 + nr) * rcols];
+        for c0 in (0..rcols).step_by(SKINNY_N) {
+            let nc = SKINNY_N.min(rcols - c0);
+            for (j, b) in b[..nc].iter_mut().enumerate() {
+                *b = &rhs_t[(c0 + j) * inner..(c0 + j + 1) * inner];
+            }
+            if nc == rcols {
+                kernel.dot_tile(&a[..nr], &b[..nc], out_block);
+            } else {
+                // More than SKINNY_N columns: the tile's rows are narrower
+                // than the output's, so copy them across.
+                let narrow = &mut narrow[..nr * nc];
+                kernel.dot_tile(&a[..nr], &b[..nc], narrow);
+                for (out_row, tile_row) in out_block
+                    .chunks_exact_mut(rcols)
+                    .zip(narrow.chunks_exact(nc))
+                {
+                    out_row[c0..c0 + nc].copy_from_slice(tile_row);
+                }
+            }
         }
     }
 }
@@ -663,6 +680,48 @@ mod tests {
         let slow = naive_matmul(&a, &b);
         let out = Matrix::from_vec(300, 4, out);
         assert!(out.sub(&slow).frobenius_norm() < 1e-8);
+    }
+
+    /// Each output row of the tall-skinny GEMM must not depend on the rows
+    /// computed with it: row `r` of an `m`-row call is `to_bits`-equal to
+    /// the same row of a 1024-row call (which the thread split divides),
+    /// at the front end's depth `k = 1000`, for every skinny width, at the
+    /// start and at the end of the batch, on the scalar reference and on
+    /// the dispatched backend.
+    #[test]
+    fn gemm_rt_rows_do_not_depend_on_the_batch() {
+        const M: usize = 1024;
+        const K: usize = 1000;
+        let lhs = pseudo_random(M, K, 21);
+        for n in 1..=SKINNY_N {
+            let rhs_t = pseudo_random(n, K, 22 + n as u64);
+            let gemm = |scalar: bool, rows: &[f64], m: usize| {
+                let mut out = vec![0.0; m * n];
+                if scalar {
+                    gemm_rt_into_with(&ScalarKernel, rows, rhs_t.as_slice(), &mut out, m, K, n);
+                } else {
+                    gemm_rt_into(rows, rhs_t.as_slice(), &mut out, m, K, n);
+                }
+                out
+            };
+            for scalar in [true, false] {
+                let full = gemm(scalar, lhs.as_slice(), M);
+                for m in [1, 2, 3, 5, 17] {
+                    for first in [0, M - m] {
+                        let part = gemm(scalar, &lhs.as_slice()[first * K..(first + m) * K], m);
+                        for (i, (p, f)) in part.iter().zip(&full[first * n..]).enumerate() {
+                            assert_eq!(
+                                p.to_bits(),
+                                f.to_bits(),
+                                "scalar {scalar} n {n}: row {} of {m} from {first}, column {}",
+                                i / n,
+                                i % n,
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

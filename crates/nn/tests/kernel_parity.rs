@@ -3,7 +3,7 @@
 //! The SIMD microkernels ([`herqles_num::kernel`]) are the first codepath
 //! in the workspace whose results may *legitimately* differ from the
 //! historical scalar pins: AVX2 reduces dot products over 8 (f32) / 4
-//! (f64) lanes × 4 accumulators instead of the scalar 8-accumulator
+//! (f64) lanes, one accumulator each, instead of the scalar 8-accumulator
 //! fan-out, and FMA contracts each multiply-add to one rounding. Parity is
 //! therefore **tolerance-based, not bit-exact**, with the bound derived
 //! from what reassociation can actually move:
@@ -14,14 +14,13 @@
 //! the sum of both. We pin `|scalar − simd| ≤ TOL_ULPS · eps_R · A` with
 //! `A = Σ|aᵢ||bᵢ|` accumulated in `f64` and `TOL_ULPS = 32` — roughly 32
 //! ULPs of the absolute-value dot, far above anything reassociation over
-//! ≤ 8-lane × 4-acc trees plus FMA contraction produces for these shapes
+//! 8-lane trees plus FMA contraction produces for these shapes
 //! (observed ≲ 4), far below any real kernel bug (a single dropped or
 //! doubled element shows up at `~eps⁻¹` ULPs).
 //!
 //! The sweep covers every remainder edge the blocked GEMMs have: m, k, n
 //! of 0 and 1, below/at/above the 8-lane f32 and 4-lane f64 widths, the
-//! 32-element f32 (16-element f64) unrolled main-loop steps, the `KC`/`NC`
-//! = 64 tile boundaries, the `SKINNY_N` = 16 path switch, and a
+//! `KC`/`NC` = 64 tile boundaries, the `SKINNY_N` = 16 path switch, and a
 //! tall-skinny shape crossing the parallel threshold — for both `f32` and
 //! `f64`, with seeded deterministic inputs. The panel update
 //! [`Kernel::axpy_panel`] is held to more than the tolerance: on every
@@ -83,8 +82,8 @@ fn assert_close<R: Real>(
 }
 
 /// Shape grid: every lane/unroll/tile remainder class the kernels branch
-/// on. `KC = NC = 64` (tile), `SKINNY_N = 16` (path switch), f32 lanes 8
-/// (32/iter unrolled), f64 lanes 4 (16/iter unrolled).
+/// on. `KC = NC = 64` (tile), `SKINNY_N = 16` (path switch), f32 lanes 8,
+/// f64 lanes 4.
 fn shape_grid() -> Vec<(usize, usize, usize)> {
     let ms = [0, 1, 2, 3, 7, 33];
     let ks = [0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100];
@@ -140,54 +139,95 @@ fn sweep_backend<R: Real>(kernel: &dyn Kernel<R>) {
     }
 }
 
-/// Primitive-level sweep: `dot`/`dot4`/`axpy` at every length through the
-/// unroll and remainder windows.
+/// Primitive-level sweep: `dot`/`axpy` at every length through the unroll
+/// and remainder windows.
 fn sweep_primitives<R: Real>(kernel: &dyn Kernel<R>) {
     let scalar = &ScalarKernel;
     for len in 0..=67 {
         let a: Vec<R> = pseudo_random(len, 11 + len as u64);
-        let rows: Vec<Vec<R>> = (0..4)
-            .map(|j| pseudo_random(len, 171 + j + len as u64))
-            .collect();
-        let bs = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
-        let a64: Vec<f64> = a.iter().map(|v| v.to_f64()).collect();
+        let b: Vec<R> = pseudo_random(len, 171 + len as u64);
+        let tol = TOL_ULPS * R::EPS.to_f64() * abs_dot(&to_f64(&a), &to_f64(&b)).max(1.0);
 
-        let abs: Vec<f64> = (0..4)
-            .map(|j| {
-                let b64: Vec<f64> = rows[j].iter().map(|v| v.to_f64()).collect();
-                abs_dot(&a64, &b64)
-            })
-            .collect();
-        let tol = |j: usize| TOL_ULPS * R::EPS.to_f64() * abs[j].max(1.0);
-
-        let d_scalar = scalar.dot(&a, bs[0]).to_f64();
-        let d_simd = kernel.dot(&a, bs[0]).to_f64();
+        let d_scalar = scalar.dot(&a, &b).to_f64();
+        let d_simd = kernel.dot(&a, &b).to_f64();
         assert!(
-            (d_scalar - d_simd).abs() <= tol(0),
+            (d_scalar - d_simd).abs() <= tol,
             "dot len {len}: {d_scalar} vs {d_simd}"
         );
-
-        let d4_scalar = scalar.dot4(&a, bs);
-        let d4_simd = kernel.dot4(&a, bs);
-        for j in 0..4 {
-            let (s, v) = (d4_scalar[j].to_f64(), d4_simd[j].to_f64());
-            assert!(
-                (s - v).abs() <= tol(j),
-                "dot4 len {len} col {j}: {s} vs {v}"
-            );
-        }
 
         // axpy accumulates into a non-trivial out so the update is checked
         // against live partial sums.
         let base: Vec<R> = pseudo_random(len, 999 + len as u64);
         let mut out_scalar = base.clone();
         let mut out_simd = base.clone();
-        scalar.axpy(R::from_f64(0.75), bs[0], &mut out_scalar);
-        kernel.axpy(R::from_f64(0.75), bs[0], &mut out_simd);
+        scalar.axpy(R::from_f64(0.75), &b, &mut out_scalar);
+        kernel.axpy(R::from_f64(0.75), &b, &mut out_simd);
         for i in 0..len {
             let (s, v) = (out_scalar[i].to_f64(), out_simd[i].to_f64());
             let t = TOL_ULPS * R::EPS.to_f64() * (1.0 + s.abs());
             assert!((s - v).abs() <= t, "axpy len {len} [{i}]: {s} vs {v}");
+        }
+    }
+}
+
+/// Row and column counts the tile sweep reaches: one past an 8 × 16 block,
+/// the shape the tall-skinny GEMM hands a tile and the AVX2 tiles'
+/// accumulator block.
+const TILE_ROWS: usize = 9;
+const TILE_COLS: usize = 17;
+
+fn to_f64<R: Real>(v: &[R]) -> Vec<f64> {
+    v.iter().map(|x| x.to_f64()).collect()
+}
+
+/// Tile sweep: `dot_tile` at every length `0..=70` (every lane and tail
+/// class of both widths) and at 1027 (past two AVX2 k-blocks of 256 `f64`
+/// or 512 `f32` samples, plus a tail), for every `rows × cols` count up to
+/// [`TILE_ROWS`] × [`TILE_COLS`]. Every element must be bitwise that
+/// backend's `dot` of its row and column, whatever shares the tile, and
+/// within the ULP tolerance of the scalar `dot`.
+fn sweep_tiles<R: Real>(kernel: &dyn Kernel<R>) {
+    let scalar = &ScalarKernel;
+    for len in (0..=70usize).chain([1027]) {
+        let rows: Vec<Vec<R>> = (0..TILE_ROWS)
+            .map(|i| pseudo_random(len, 11 + (i * 71 + len) as u64))
+            .collect();
+        let cols: Vec<Vec<R>> = (0..TILE_COLS)
+            .map(|j| pseudo_random(len, 5003 + (j * 71 + len) as u64))
+            .collect();
+        // Per element: the backend's dot, and the scalar dot's tolerance.
+        let mut dot = vec![vec![R::ZERO; TILE_COLS]; TILE_ROWS];
+        for (i, row) in rows.iter().enumerate() {
+            for (j, col) in cols.iter().enumerate() {
+                dot[i][j] = kernel.dot(row, col);
+                let s = scalar.dot(row, col).to_f64();
+                let tol = TOL_ULPS * R::EPS.to_f64() * abs_dot(&to_f64(row), &to_f64(col)).max(1.0);
+                let v = dot[i][j].to_f64();
+                assert!(
+                    (s - v).abs() <= tol,
+                    "{} dot len {len} [{i}, {j}]: scalar {s} vs {v}",
+                    kernel.name()
+                );
+            }
+        }
+        for nr in 0..=TILE_ROWS {
+            for nc in 0..=TILE_COLS {
+                let a: Vec<&[R]> = rows[..nr].iter().map(Vec::as_slice).collect();
+                let b: Vec<&[R]> = cols[..nc].iter().map(Vec::as_slice).collect();
+                let mut out = vec![R::from_f64(f64::NAN); nr * nc];
+                kernel.dot_tile(&a, &b, &mut out);
+                for (idx, &v) in out.iter().enumerate() {
+                    let (i, j) = (idx / nc, idx % nc);
+                    assert_eq!(
+                        v.to_f64().to_bits(),
+                        dot[i][j].to_f64().to_bits(),
+                        "{} dot_tile len {len} {nr}x{nc} [{i}, {j}]: {} vs dot {}",
+                        kernel.name(),
+                        v.to_f64(),
+                        dot[i][j].to_f64(),
+                    );
+                }
+            }
         }
     }
 }
@@ -277,6 +317,8 @@ fn scalar_reference_agrees_with_itself_over_the_sweep() {
     sweep_backend::<f64>(&ScalarKernel);
     sweep_primitives::<f32>(&ScalarKernel);
     sweep_panels::<f64>(&ScalarKernel);
+    sweep_tiles::<f32>(&ScalarKernel);
+    sweep_tiles::<f64>(&ScalarKernel);
 }
 
 #[test]
@@ -300,6 +342,7 @@ fn f32_primitives_match_scalar_over_length_sweep() {
     for kernel in simd_backends::<f32>() {
         sweep_primitives::<f32>(kernel);
         sweep_panels::<f32>(kernel);
+        sweep_tiles::<f32>(kernel);
     }
 }
 
@@ -308,6 +351,7 @@ fn f64_primitives_match_scalar_over_length_sweep() {
     for kernel in simd_backends::<f64>() {
         sweep_primitives::<f64>(kernel);
         sweep_panels::<f64>(kernel);
+        sweep_tiles::<f64>(kernel);
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! The hot path of the whole workspace — the fused demod + matched-filter
 //! GEMM, the NN heads, the streaming discriminate stage — bottoms out in
-//! three primitive shapes: a contiguous dot product, a register-blocked
-//! 4-column dot ([`Kernel::dot4`], one left-operand load feeding four
-//! accumulator chains), and the broadcast-GEMM rank-1 update
+//! three primitive shapes: a contiguous dot product, a block of dot
+//! products between a few left-operand rows and a few right-operand
+//! columns ([`Kernel::dot_tile`], whose SIMD bodies share each column load
+//! across a register tile of rows), and the broadcast-GEMM rank-1 update
 //! ([`Kernel::axpy`] / the register-resident panel form
 //! [`Kernel::axpy_panel`], which sums a whole `KC`-deep right-operand tile
 //! into one output segment). [`Kernel`] abstracts exactly those primitives
@@ -54,13 +55,6 @@ pub trait Kernel<R: Real>: Send + Sync {
     /// Contiguous dot product `Σ a[i]·b[i]`.
     fn dot(&self, a: &[R], b: &[R]) -> R;
 
-    /// Register-blocked 4-column dot: `[Σ a·b0, Σ a·b1, Σ a·b2, Σ a·b3]`.
-    ///
-    /// The tall-skinny GEMM calls this with four consecutive rows of the
-    /// transposed right operand so each left-operand load feeds four
-    /// accumulator chains.
-    fn dot4(&self, a: &[R], bs: [&[R]; 4]) -> [R; 4];
-
     /// Rank-1 update segment `out[i] += alpha · x[i]`.
     ///
     /// `alpha == 0` must leave `out` untouched (the broadcast GEMM leans on
@@ -91,18 +85,31 @@ pub trait Kernel<R: Real>: Send + Sync {
         }
     }
 
-    /// Whether the tall-skinny GEMM should present work to this backend in
-    /// column quads ([`Kernel::dot4`]) rather than one column at a time.
+    /// Block of dot products between left-operand rows and right-operand
+    /// columns: `out[i·cols.len() + j] = Σ_t rows[i][t] · cols[j][t]`.
     ///
-    /// SIMD backends say `true`: the quad form amortizes left-operand loads
-    /// across register-blocked accumulator chains. The
-    /// scalar reference says `false` — measured on the reference container,
-    /// funneling four array-returning dot calls through one statement
-    /// defeats LLVM's scalar-replacement + vectorization of the plain
-    /// per-column dot loop and costs ~3.5× on the fused-MF GEMM, so the
-    /// scalar arm keeps the exact pre-backend loop shape instead.
-    fn quad_blocked(&self) -> bool {
-        true
+    /// The tall-skinny GEMM hands it a short block of output rows and all
+    /// their (≤ 16) columns, so a backend can reuse each column from L1
+    /// across the block's rows; any row and column count is accepted.
+    /// Every element must be bitwise this backend's [`Kernel::dot`] of its
+    /// row and column, whatever else shares the block, so a GEMM row's bits
+    /// do not depend on its neighbours. The default body is the per-column
+    /// `dot` loop; SIMD overrides share each column load across a register
+    /// tile of rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != rows.len() · cols.len()`.
+    fn dot_tile(&self, rows: &[&[R]], cols: &[&[R]], out: &mut [R]) {
+        check_tile(rows.len(), cols.len(), out.len());
+        if cols.is_empty() {
+            return;
+        }
+        for (a, out_row) in rows.iter().zip(out.chunks_exact_mut(cols.len())) {
+            for (o, b) in out_row.iter_mut().zip(cols) {
+                *o = self.dot(a, b);
+            }
+        }
     }
 
     /// Carrier mix-accumulate: the multiplexed-readout modulation
@@ -166,21 +173,15 @@ impl<R: Real> Kernel<R> for ScalarKernel {
                 acc[i] += x[i] * y[i];
             }
         }
+        // Hide the reduction tree from the loop: seeing it, LLVM pairs
+        // accumulators (i, i + 4) into vectors and shuffles every load, at
+        // half the throughput. The sums are unchanged.
+        let acc = std::hint::black_box(acc);
         let mut tail = R::ZERO;
         for (&x, &y) in ta.iter().zip(tb) {
             tail += x * y;
         }
         ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-    }
-
-    #[inline(always)]
-    fn dot4(&self, a: &[R], bs: [&[R]; 4]) -> [R; 4] {
-        [
-            self.dot(a, bs[0]),
-            self.dot(a, bs[1]),
-            self.dot(a, bs[2]),
-            self.dot(a, bs[3]),
-        ]
     }
 
     #[inline(always)]
@@ -192,11 +193,6 @@ impl<R: Real> Kernel<R> for ScalarKernel {
         for (o, &v) in out.iter_mut().zip(x) {
             *o += alpha * v;
         }
-    }
-
-    #[inline(always)]
-    fn quad_blocked(&self) -> bool {
-        false
     }
 }
 
@@ -246,13 +242,16 @@ impl Kernel<f32> for Avx2Kernel {
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: an Avx2Kernel only exists when AVX2+FMA were detected.
-        unsafe { avx2::dot_f32(a, b) }
+        let mut out = [0.0];
+        self.dot_tile(&[a], &[b], &mut out);
+        out[0]
     }
 
-    fn dot4(&self, a: &[f32], bs: [&[f32]; 4]) -> [f32; 4] {
-        // SAFETY: as above.
-        unsafe { avx2::dot4_f32(a, bs) }
+    fn dot_tile(&self, rows: &[&[f32]], cols: &[&[f32]], out: &mut [f32]) {
+        check_tile(rows.len(), cols.len(), out.len());
+        // SAFETY: an Avx2Kernel only exists when AVX2+FMA were detected,
+        // and `check_tile` sized `out`.
+        unsafe { avx2::dot_tile_f32(rows, cols, out) }
     }
 
     fn axpy(&self, alpha: f32, x: &[f32], out: &mut [f32]) {
@@ -290,13 +289,16 @@ impl Kernel<f64> for Avx2Kernel {
     }
 
     fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        // SAFETY: an Avx2Kernel only exists when AVX2+FMA were detected.
-        unsafe { avx2::dot_f64(a, b) }
+        let mut out = [0.0];
+        self.dot_tile(&[a], &[b], &mut out);
+        out[0]
     }
 
-    fn dot4(&self, a: &[f64], bs: [&[f64]; 4]) -> [f64; 4] {
-        // SAFETY: as above.
-        unsafe { avx2::dot4_f64(a, bs) }
+    fn dot_tile(&self, rows: &[&[f64]], cols: &[&[f64]], out: &mut [f64]) {
+        check_tile(rows.len(), cols.len(), out.len());
+        // SAFETY: an Avx2Kernel only exists when AVX2+FMA were detected,
+        // and `check_tile` sized `out`.
+        unsafe { avx2::dot_tile_f64(rows, cols, out) }
     }
 
     fn axpy(&self, alpha: f64, x: &[f64], out: &mut [f64]) {
@@ -327,6 +329,16 @@ impl Kernel<f64> for Avx2Kernel {
     }
 }
 
+/// The shape [`Kernel::dot_tile`] documents: `out` holds one element per
+/// row and column.
+fn check_tile(rows: usize, cols: usize, out: usize) {
+    assert_eq!(
+        out,
+        rows * cols,
+        "dot_tile: out must hold rows.len() · cols.len() elements"
+    );
+}
+
 /// The bound [`Kernel::axpy_panel`] documents: `k` rows of `n` elements,
 /// `stride` apart, must fit in `rhs_len`.
 #[cfg(target_arch = "x86_64")]
@@ -354,10 +366,6 @@ impl<R: Real> Kernel<R> for Avx2Kernel {
 
     fn dot(&self, a: &[R], b: &[R]) -> R {
         ScalarKernel.dot(a, b)
-    }
-
-    fn dot4(&self, a: &[R], bs: [&[R]; 4]) -> [R; 4] {
-        ScalarKernel.dot4(a, bs)
     }
 
     fn axpy(&self, alpha: R, x: &[R], out: &mut [R]) {
@@ -531,180 +539,197 @@ mod avx2 {
         _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
     }
 
-    /// 8-lane f32 dot with a 4-vector (32 MAC/iter) main loop.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len().min(b.len());
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 32 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 8)),
-                _mm256_loadu_ps(bp.add(i + 8)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 16)),
-                _mm256_loadu_ps(bp.add(i + 16)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(ap.add(i + 24)),
-                _mm256_loadu_ps(bp.add(i + 24)),
-                acc3,
-            );
-            i += 32;
-        }
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-            i += 8;
-        }
-        let mut sum = hsum_ps(_mm256_add_ps(
-            _mm256_add_ps(acc0, acc1),
-            _mm256_add_ps(acc2, acc3),
-        ));
-        while i < n {
-            sum += a[i] * b[i];
-            i += 1;
-        }
-        sum
+    /// Rows × columns of the per-element accumulator state one block of
+    /// [`dot_tile_f32`]/[`dot_tile_f64`] keeps on the stack; bigger tiles
+    /// are walked block by block.
+    const TILE_ROWS: usize = 8;
+    const TILE_COLS: usize = 16;
+
+    /// Bytes of every row and column one k-block spans: 256 `f64` or 512
+    /// `f32` samples. The readout front end's 10 weight columns then take
+    /// 20 KiB and a block's 8 rows 16 KiB, so the columns stay in L1 while
+    /// every register tile of the block sweeps them.
+    const K_BLOCK_BYTES: usize = 2048;
+
+    /// Register tile: 2 rows × at most 5 columns is 10 accumulators, 2 row
+    /// vectors and 1 column vector of the 16 `ymm` registers.
+    const REG_ROWS: usize = 2;
+    const REG_COLS: usize = 5;
+
+    /// Emits the `dot_tile` body for one precision: `$block` walks one
+    /// block k-block by k-block, and `$micro::<R, C>` fuses one k-block
+    /// into an `R × C` register tile whose every column load feeds `R`
+    /// accumulators.
+    macro_rules! dot_tile {
+        ($name:ident, $block:ident, $micro:ident, $t:ty, $v:ty, $lanes:expr,
+         $zero:ident, $load:ident, $fmadd:ident, $hsum:ident) => {
+            /// `out[i·cols.len() + j] = Σ_t rows[i][t] · cols[j][t]` (see
+            /// [`super::Kernel::dot_tile`]). Every element is one FMA chain
+            /// per lane over the whole-vector body, reduced by the
+            /// horizontal sum, then the tail added in order: the same bits
+            /// in any block, register tile or k-block. Reads each slice only
+            /// below the shortest length.
+            ///
+            /// # Safety
+            ///
+            /// AVX2+FMA must be available.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `out` is shorter than `rows.len() · cols.len()`.
+            #[target_feature(enable = "avx2", enable = "fma")]
+            pub unsafe fn $name(rows: &[&[$t]], cols: &[&[$t]], out: &mut [$t]) {
+                let stride = cols.len();
+                for (rb, rows) in rows.chunks(TILE_ROWS).enumerate() {
+                    for (cb, cols) in cols.chunks(TILE_COLS).enumerate() {
+                        let at = rb * TILE_ROWS * stride + cb * TILE_COLS;
+                        $block(rows, cols, &mut out[at..], stride);
+                    }
+                }
+            }
+
+            /// One block of at most `TILE_ROWS × TILE_COLS` elements, into
+            /// `out[i·stride + j]`. K-blocks are the outer loop, so the
+            /// block's columns are read from memory once per k-block, not
+            /// once per row; the accumulators carry across k-blocks.
+            ///
+            /// # Safety
+            ///
+            /// AVX2+FMA must be available.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `rows.len() > TILE_ROWS`, `cols.len() > TILE_COLS`,
+            /// or `out` lacks element `(rows.len() − 1)·stride +
+            /// cols.len() − 1`.
+            #[target_feature(enable = "avx2", enable = "fma")]
+            unsafe fn $block(rows: &[&[$t]], cols: &[&[$t]], out: &mut [$t], stride: usize) {
+                let (nr, nc) = (rows.len(), cols.len());
+                let len = rows.iter().chain(cols).map(|s| s.len()).min().unwrap_or(0);
+                let body = len - len % $lanes;
+                let mut ap = [std::ptr::null::<$t>(); TILE_ROWS];
+                for (p, row) in ap.iter_mut().zip(rows) {
+                    *p = row.as_ptr();
+                }
+                let mut bp = [std::ptr::null::<$t>(); TILE_COLS];
+                for (p, col) in bp.iter_mut().zip(cols) {
+                    *p = col.as_ptr();
+                }
+                let mut acc = [[$zero(); TILE_COLS]; TILE_ROWS];
+                // Column groups as even as ≤ REG_COLS allows: 16 → 4 × 4,
+                // 7 → 4 + 3, so no register tile is left one column wide.
+                let groups = nc.div_ceil(REG_COLS);
+                let k_block = K_BLOCK_BYTES / std::mem::size_of::<$t>();
+                let mut k0 = 0;
+                while k0 < body {
+                    let k1 = body.min(k0 + k_block);
+                    for r in (0..nr).step_by(REG_ROWS) {
+                        let tr = REG_ROWS.min(nr - r);
+                        let mut c = 0;
+                        for g in 0..groups {
+                            let tc = (nc - c).div_ceil(groups - g);
+                            // The micro-tile's contract holds: `ap[r..r + tr]`
+                            // and `bp[c..c + tc]` point into slices of at
+                            // least `len ≥ k1` elements, and `k0`, `k1` are
+                            // multiples of the lane count.
+                            let (a, b) = (&ap[r..], &bp[c..]);
+                            let span = (r, c, k0, k1);
+                            match (tr, tc) {
+                                (2, 5) => $micro::<2, 5>(a, b, &mut acc, span),
+                                (2, 4) => $micro::<2, 4>(a, b, &mut acc, span),
+                                (2, 3) => $micro::<2, 3>(a, b, &mut acc, span),
+                                (2, 2) => $micro::<2, 2>(a, b, &mut acc, span),
+                                (2, _) => $micro::<2, 1>(a, b, &mut acc, span),
+                                (_, 5) => $micro::<1, 5>(a, b, &mut acc, span),
+                                (_, 4) => $micro::<1, 4>(a, b, &mut acc, span),
+                                (_, 3) => $micro::<1, 3>(a, b, &mut acc, span),
+                                (_, 2) => $micro::<1, 2>(a, b, &mut acc, span),
+                                _ => $micro::<1, 1>(a, b, &mut acc, span),
+                            }
+                            c += tc;
+                        }
+                    }
+                    k0 = k1;
+                }
+                for (i, (row, acc)) in rows.iter().zip(&acc).enumerate() {
+                    for (j, (col, &v)) in cols.iter().zip(acc).enumerate() {
+                        let mut sum = $hsum(v);
+                        for t in body..len {
+                            sum += row[t] * col[t];
+                        }
+                        out[i * stride + j] = sum;
+                    }
+                }
+            }
+
+            /// Fuses samples `k0..k1` of `R` rows from `a` and `C` columns
+            /// from `b` into accumulators `[r][c]..[r + R][c + C]`, where
+            /// `(r, c, k0, k1) = span`.
+            ///
+            /// # Safety
+            ///
+            /// AVX2+FMA must be available; `a` and `b` hold at least `R`
+            /// and `C` pointers, each valid for `k1` elements, and `k1 − k0`
+            /// is a multiple of the lane count.
+            #[inline]
+            #[target_feature(enable = "avx2", enable = "fma")]
+            unsafe fn $micro<const R: usize, const C: usize>(
+                a: &[*const $t],
+                b: &[*const $t],
+                acc: &mut [[$v; TILE_COLS]; TILE_ROWS],
+                (r, c, k0, k1): (usize, usize, usize, usize),
+            ) {
+                let a: [*const $t; R] = a[..R].try_into().expect("R row pointers");
+                let b: [*const $t; C] = b[..C].try_into().expect("C column pointers");
+                let mut s = [[$zero(); C]; R];
+                for (s, acc) in s.iter_mut().zip(&acc[r..]) {
+                    s.copy_from_slice(&acc[c..c + C]);
+                }
+                let mut t = k0;
+                while t < k1 {
+                    let mut va = [$zero(); R];
+                    for (v, p) in va.iter_mut().zip(&a) {
+                        *v = $load(p.add(t));
+                    }
+                    for (j, p) in b.iter().enumerate() {
+                        let vb = $load(p.add(t));
+                        for (s, &v) in s.iter_mut().zip(&va) {
+                            s[j] = $fmadd(v, vb, s[j]);
+                        }
+                    }
+                    t += $lanes;
+                }
+                for (s, acc) in s.iter().zip(&mut acc[r..]) {
+                    acc[c..c + C].copy_from_slice(s);
+                }
+            }
+        };
     }
 
-    /// 4-lane f64 dot with a 4-vector (16 MAC/iter) main loop.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 4)),
-                _mm256_loadu_pd(bp.add(i + 4)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 8)),
-                _mm256_loadu_pd(bp.add(i + 8)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 12)),
-                _mm256_loadu_pd(bp.add(i + 12)),
-                acc3,
-            );
-            i += 16;
-        }
-        while i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            i += 4;
-        }
-        let mut sum = hsum_pd(_mm256_add_pd(
-            _mm256_add_pd(acc0, acc1),
-            _mm256_add_pd(acc2, acc3),
-        ));
-        while i < n {
-            sum += a[i] * b[i];
-            i += 1;
-        }
-        sum
-    }
-
-    /// Register-blocked 4-column f32 dot: two a-vectors per iteration feed
-    /// eight accumulator chains (4 columns × 2-deep unroll).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot4_f32(a: &[f32], bs: [&[f32]; 4]) -> [f32; 4] {
-        let n = bs.iter().fold(a.len(), |acc, b| acc.min(b.len()));
-        let ap = a.as_ptr();
-        let bp = [
-            bs[0].as_ptr(),
-            bs[1].as_ptr(),
-            bs[2].as_ptr(),
-            bs[3].as_ptr(),
-        ];
-        let mut lo = [_mm256_setzero_ps(); 4];
-        let mut hi = [_mm256_setzero_ps(); 4];
-        let mut i = 0;
-        while i + 16 <= n {
-            let va0 = _mm256_loadu_ps(ap.add(i));
-            let va1 = _mm256_loadu_ps(ap.add(i + 8));
-            for j in 0..4 {
-                lo[j] = _mm256_fmadd_ps(va0, _mm256_loadu_ps(bp[j].add(i)), lo[j]);
-                hi[j] = _mm256_fmadd_ps(va1, _mm256_loadu_ps(bp[j].add(i + 8)), hi[j]);
-            }
-            i += 16;
-        }
-        while i + 8 <= n {
-            let va = _mm256_loadu_ps(ap.add(i));
-            for j in 0..4 {
-                lo[j] = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp[j].add(i)), lo[j]);
-            }
-            i += 8;
-        }
-        let mut out = [0.0f32; 4];
-        for j in 0..4 {
-            out[j] = hsum_ps(_mm256_add_ps(lo[j], hi[j]));
-        }
-        while i < n {
-            for j in 0..4 {
-                out[j] += a[i] * bs[j][i];
-            }
-            i += 1;
-        }
-        out
-    }
-
-    /// Register-blocked 4-column f64 dot (4 columns × 2-deep unroll).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot4_f64(a: &[f64], bs: [&[f64]; 4]) -> [f64; 4] {
-        let n = bs.iter().fold(a.len(), |acc, b| acc.min(b.len()));
-        let ap = a.as_ptr();
-        let bp = [
-            bs[0].as_ptr(),
-            bs[1].as_ptr(),
-            bs[2].as_ptr(),
-            bs[3].as_ptr(),
-        ];
-        let mut lo = [_mm256_setzero_pd(); 4];
-        let mut hi = [_mm256_setzero_pd(); 4];
-        let mut i = 0;
-        while i + 8 <= n {
-            let va0 = _mm256_loadu_pd(ap.add(i));
-            let va1 = _mm256_loadu_pd(ap.add(i + 4));
-            for j in 0..4 {
-                lo[j] = _mm256_fmadd_pd(va0, _mm256_loadu_pd(bp[j].add(i)), lo[j]);
-                hi[j] = _mm256_fmadd_pd(va1, _mm256_loadu_pd(bp[j].add(i + 4)), hi[j]);
-            }
-            i += 8;
-        }
-        while i + 4 <= n {
-            let va = _mm256_loadu_pd(ap.add(i));
-            for j in 0..4 {
-                lo[j] = _mm256_fmadd_pd(va, _mm256_loadu_pd(bp[j].add(i)), lo[j]);
-            }
-            i += 4;
-        }
-        let mut out = [0.0f64; 4];
-        for j in 0..4 {
-            out[j] = hsum_pd(_mm256_add_pd(lo[j], hi[j]));
-        }
-        while i < n {
-            for j in 0..4 {
-                out[j] += a[i] * bs[j][i];
-            }
-            i += 1;
-        }
-        out
-    }
+    dot_tile!(
+        dot_tile_f32,
+        tile_block_f32,
+        tile_micro_f32,
+        f32,
+        __m256,
+        8,
+        _mm256_setzero_ps,
+        _mm256_loadu_ps,
+        _mm256_fmadd_ps,
+        hsum_ps
+    );
+    dot_tile!(
+        dot_tile_f64,
+        tile_block_f64,
+        tile_micro_f64,
+        f64,
+        __m256d,
+        4,
+        _mm256_setzero_pd,
+        _mm256_loadu_pd,
+        _mm256_fmadd_pd,
+        hsum_pd
+    );
 
     /// f32 `out += alpha · x` over the common length.
     #[target_feature(enable = "avx2", enable = "fma")]

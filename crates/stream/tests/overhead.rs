@@ -27,7 +27,7 @@ use herqles_stream::{train_mf_discriminator, CycleConfig, CycleEngine};
 use readout_sim::ChipConfig;
 use surface_code::RotatedSurfaceCode;
 
-const ATTEMPTS: usize = 12;
+const ATTEMPTS: usize = 24;
 const CYCLES_PER_ATTEMPT: usize = 16;
 
 /// CPU time consumed so far by every thread of this process, in
