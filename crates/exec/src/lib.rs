@@ -7,16 +7,26 @@
 //! each call site hand-rolled `std::thread::scope` sharding; this crate
 //! centralizes the pattern behind a persistent worker pool:
 //!
-//! * [`ShardPool`] — a fixed set of persistent worker threads with three
-//!   entry points:
-//!   - [`ShardPool::run`]: parallel-for over task indices (the caller
-//!     participates, so a 1-thread pool degenerates to an inline loop);
-//!   - [`ShardPool::run_mut`]: parallel-for over disjoint `&mut` shards;
-//!   - [`ShardPool::overlap`]: the two-stage pipeline primitive — task
-//!     indices fan out to the workers while the caller runs a serial
-//!     `consume` stage, then joins the fan-out. This is what lets the cycle
-//!     engine synthesize round `t+1`'s readout while discriminating and
-//!     decoding round `t`.
+//! * [`ShardPool`] — a fixed set of persistent worker threads with one
+//!   dispatch primitive and two shorthands for it:
+//!   - [`ShardPool::staged`]: the staged fan-out — `stages ×
+//!     tasks_per_stage` task indices, claimed in ascending order by the
+//!     workers and the caller, while the caller runs a prelude and then
+//!     consumes each stage as soon as all of its tasks have completed
+//!     ([`CallerStep`]). Each task learns the index of the thread running
+//!     it (the caller is worker 0), so it can use per-thread scratch. This
+//!     is what lets the cycle engine synthesize a whole QEC cycle's readout
+//!     in one fan-out while it discriminates and decodes round `t` as soon
+//!     as round `t`'s rows are in;
+//!   - [`ShardPool::run`]: parallel-for over task indices, the one-stage
+//!     case with nothing to consume (the caller participates, so a
+//!     1-thread pool degenerates to an inline loop);
+//!   - [`ShardPool::run_mut`]: parallel-for over disjoint `&mut` shards.
+//!
+//!   Idle threads spin, then park: a worker spins on the pool's generation
+//!   counter for a bounded time before it parks on a condvar, and the caller
+//!   spins on the stage it waits for before it parks in turn. A pool with
+//!   more threads than [`std::thread::available_parallelism`] never spins.
 //! * [`Tiles`] — a `Sync` view of disjoint mutable tiles over one buffer,
 //!   for shard closures that each write their own row of a shared batch;
 //! * [`stream_seed`] — the SplitMix64 RNG-stream derivation (shared with
@@ -55,7 +65,7 @@ pub mod rng;
 pub mod telemetry;
 pub mod tiles;
 
-pub use pool::ShardPool;
+pub use pool::{CallerStep, ShardPool};
 pub use rng::stream_seed;
 pub use telemetry::PoolTelemetry;
 pub use tiles::Tiles;

@@ -5,7 +5,7 @@
 //! [`SpanKind::Task`] span per executed fan-out task — begin timestamp,
 //! duration, the *worker index* as the span track, the task index as the
 //! payload — plus per-worker busy-ns and task counters. That is exactly
-//! what a flight-recorder export needs to show `overlap`'s
+//! what a flight-recorder export needs to show a staged fan-out's
 //! synthesis/decode concurrency: which worker ran which shard, when, for
 //! how long, laid out on one track per worker.
 //!

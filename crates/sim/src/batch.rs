@@ -86,9 +86,8 @@ impl<R: Real> ShotBatch<R> {
     }
 
     /// Removes all shots, keeping the allocation and the configured sample
-    /// count — the reuse primitive of the streaming round pipeline: a warm
-    /// batch cycles through `clear` → `push_empty_row`×k with zero heap
-    /// traffic.
+    /// count — the reuse primitive of a per-round batch: a warm batch
+    /// cycles through `clear` → `push_empty_row`×k with zero heap traffic.
     pub fn clear(&mut self) {
         self.n_shots = 0;
         self.data.clear();

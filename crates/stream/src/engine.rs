@@ -11,9 +11,10 @@
 //! two double-buffered [`SyndromeBlock`] homes, and decoded.
 //!
 //! After a warm-up cycle the engine's own per-round path performs **zero
-//! heap allocation**: every buffer ([`RoundBuffers`], the synth scratch, the
-//! syndrome stepper's event store) is pre-sized and reused. A whole round is
-//! allocation-free when the discriminator's buffered batch path is too:
+//! heap allocation**: every buffer (the cycle-wide shot batch, the synth
+//! scratch, the syndrome stepper's event store) is pre-sized and reused. A
+//! whole round is allocation-free when the discriminator's buffered batch
+//! path is too:
 //! `tests/alloc.rs` pins that for `mf` (at `f64` and `f32`) and
 //! `mf-adaptive`. The `mf-svm` and `mf-nn` heads widen their feature rows
 //! into a fresh `f64` buffer every call, and `centroid` and `baseline` take
@@ -22,31 +23,44 @@
 //! [`CycleEngine::cycles`] iterator of [`CycleResult`]s carrying per-stage
 //! nanosecond timings.
 //!
-//! # One round pipeline
+//! # One cycle pipeline
 //!
 //! Every engine runs its cycles on a [`herqles_exec::ShardPool`]: the pool
 //! passed to [`CycleEngine::with_pool`], or for [`CycleEngine::new`] a
-//! process-wide 1-thread pool that spawns no thread. Each feedline group is
-//! a shard owning its own [`RoundSynth`] (synthesis is `&mut self`, so one
-//! synthesizer per shard), and a cycle is a two-stage pipeline over two
-//! ping-ponged [`RoundBuffers`]: round `t+1`'s sharded synthesis overlaps
-//! round `t`'s consume stage — discriminate → syndrome commit → health →
-//! sliding-window advance. Because every round draws its per-group
-//! randomness from SplitMix64-derived streams ([`herqles_exec::stream_seed`]
-//! over a single per-round entropy word from the master RNG), output is
-//! **bit-identical at every pool size** and to the offline materializing
-//! reference. Job dispatch on the pool allocates nothing, so pooled warm
-//! cycles are as allocation-free as serial ones.
+//! process-wide 1-thread pool that spawns no thread. A cycle is
 //!
-//! Stage accounting is the same at every pool size: the consume stage
-//! charges its own discriminate, syndrome and decode time, and synthesis is
-//! charged the fan-out's wall time minus the consume stage — the synthesis
-//! latency the overlap did not hide. On a 1-thread pool that is all of it.
+//! 1. a serial prologue over all its rounds, in ascending order: each
+//!    round's fault snapshot, data errors, true parities, and one entropy
+//!    word from the master RNG from which every feedline group's synthesis
+//!    stream derives ([`herqles_exec::stream_seed`]);
+//! 2. one staged fan-out ([`ShardPool::staged`]) with one stage per round
+//!    and one task per (round, group) row: each task synthesizes its row of
+//!    the cycle-wide `rounds × groups` batch on the [`RoundSynth`] of the
+//!    thread running it (synthesis is `&mut self`, so one synthesizer per
+//!    pool thread). Meanwhile the calling thread runs the prelude — the
+//!    previous block's offloaded decode and any control-plane task — and
+//!    then consumes round `t` as soon as its rows are in: discriminate →
+//!    syndrome commit → health → sliding-window advance;
+//! 3. the block's end: the perfect round, block write-out and decode.
+//!
+//! No consume step draws from the master RNG, so the prologue draws in the
+//! same order as a round-by-round loop, and because every row's randomness
+//! comes from its own stream, output is **bit-identical at every pool
+//! size** and to the offline materializing reference. Job dispatch on the
+//! pool allocates nothing, so pooled warm cycles are as allocation-free as
+//! serial ones.
+//!
+//! Stage accounting is the same at every pool size: the caller's prelude
+//! and consume steps charge their own discriminate, syndrome and decode
+//! time, and synthesis is charged the fan-out's wall time minus those
+//! steps — the synthesis latency the fan-out did not hide. Round `t`'s
+//! `Synth` span is how long the caller waited for round `t`'s rows after
+//! its previous step. On a 1-thread pool that is all of synthesis.
 
 use std::sync::OnceLock;
 
 use herqles_core::{Discriminator, PrecisionDiscriminator, Real};
-use herqles_exec::{stream_seed, ShardPool, Tiles};
+use herqles_exec::{stream_seed, CallerStep, ShardPool, Tiles};
 use herqles_telemetry::{now_ns, SpanKind, StageTimer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -253,29 +267,13 @@ impl std::fmt::Display for CycleStats {
     }
 }
 
-/// The reusable per-round working set: one shot batch, the parity planes and
-/// the discriminator's scratch + output buffers, all at the engine's
-/// pipeline precision `R`. Everything is pre-sized at engine construction
-/// and recycled every round.
-#[derive(Debug, Clone)]
-pub struct RoundBuffers<R: Real = f64> {
-    batch: ShotBatch<R>,
-    true_parities: Vec<bool>,
+/// The consume step's working set: the discriminator's feature and state
+/// outputs and the measured syndrome, at the engine's pipeline precision
+/// `R`. Sized during the first cycle and recycled every round.
+struct RoundScratch<R: Real> {
     measured: Vec<bool>,
     states: Vec<BasisState>,
     features: Vec<R>,
-}
-
-impl<R: Real> RoundBuffers<R> {
-    fn new(map: &AncillaMap, n_samples: usize) -> Self {
-        RoundBuffers {
-            batch: ShotBatch::with_capacity(map.n_groups(), n_samples),
-            true_parities: vec![false; map.n_ancillas()],
-            measured: vec![false; map.n_ancillas()],
-            states: Vec::with_capacity(map.n_groups()),
-            features: Vec::new(),
-        }
-    }
 }
 
 /// The engine's health-monitoring working set: the [`HealthMonitor`] plus
@@ -293,15 +291,68 @@ struct HealthState {
     margin_supported: bool,
 }
 
-/// The pool an engine runs on, one [`RoundSynth`] per feedline-group shard,
-/// the round's per-group RNG stream seeds, and the back [`RoundBuffers`]
-/// that the two-stage pipeline synthesizes into while the engine's front
-/// buffer is consumed.
+/// The pool an engine runs on, one [`RoundSynth`] per pool thread (a task
+/// uses the one of the thread running it), and the cycle-wide working set
+/// that the prologue fills and the fan-out synthesizes into. Everything is
+/// sized at engine construction; round `t`'s entries are written before the
+/// fan-out or by its tasks, and read by round `t`'s consume step.
 struct PoolState<'a, R: Real> {
     pool: &'a ShardPool,
     synths: Vec<RoundSynth<R>>,
+    /// Round-major `rounds × groups` synthesis stream seeds.
     seeds: Vec<u64>,
-    back: RoundBuffers<R>,
+    /// Round-major `rounds × ancillas` true parities.
+    parities: Vec<bool>,
+    /// Each round's resolved fault snapshot.
+    faults: Vec<RoundFaults>,
+    /// The cycle-wide batch: round `t`'s `groups` rows are `batches[t]`.
+    batches: Vec<ShotBatch<R>>,
+    rows: BatchRows<R>,
+}
+
+/// Row access for the fan-out's tasks: the base pointer of every round's
+/// batch, re-derived from a `&mut` borrow before each fan-out, so task
+/// `(t, g)` can write row `g` of round `t`'s batch while the caller reads
+/// the batches of completed rounds.
+struct BatchRows<R> {
+    bases: Vec<*mut R>,
+    n_rows: usize,
+    row_width: usize,
+}
+
+// SAFETY: the pointers are only written through by `BatchRows::row`, whose
+// contract hands each row to one task at a time — sharing or sending the
+// view is sound exactly when sending `&mut [R]` is.
+unsafe impl<R: Send> Send for BatchRows<R> {}
+unsafe impl<R: Send> Sync for BatchRows<R> {}
+
+impl<R: Real> BatchRows<R> {
+    /// Points the view at `batches`, every one holding `n_rows` rows.
+    fn bind(&mut self, batches: &mut [ShotBatch<R>]) {
+        self.bases.clear();
+        for batch in batches {
+            assert_eq!(
+                batch.n_shots(),
+                self.n_rows,
+                "batch holds one row per group"
+            );
+            self.bases.push(batch.as_mut_slice().as_mut_ptr());
+        }
+    }
+
+    /// Row `g` of round `t`'s batch.
+    ///
+    /// # Safety
+    ///
+    /// Since the last [`BatchRows::bind`], the batches must not have been
+    /// moved or resized, and no other live reference may cover this row:
+    /// the fan-out hands each `(t, g)` to exactly one task, and a consume
+    /// step reads only rounds whose tasks have all completed.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row(&self, t: usize, g: usize) -> &mut [R] {
+        assert!(g < self.n_rows, "row index out of range");
+        std::slice::from_raw_parts_mut(self.bases[t].add(g * self.row_width), self.row_width)
+    }
 }
 
 /// The pool behind [`CycleEngine::new`]: its one thread is the caller, so it
@@ -366,7 +417,7 @@ enum DecodeMode {
     /// ([`CycleEngine::set_sliding_window`]); the cycle's end resolves the
     /// remainder.
     Window(WindowState),
-    /// Each block decodes in the next cycle's round-0 pipeline slot
+    /// Each block decodes in the next cycle's fan-out prelude
     /// ([`CycleEngine::set_async_decode`]).
     Offload {
         /// A finished block awaits its decode.
@@ -446,7 +497,7 @@ impl BlockDecoder<'_> {
     /// Decodes the block just finished, as the mode schedules it: whole, or
     /// the window's remainder — or, under offload, returns the previous
     /// block's outcome (empty when none was pending) and leaves this block
-    /// for the next cycle's round-0 slot.
+    /// for the next cycle's fan-out prelude.
     fn finish_block(
         &mut self,
         block: &SyndromeBlock,
@@ -513,9 +564,7 @@ pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     map: AncillaMap,
     rng: StdRng,
     sim: SyndromeSim<'a>,
-    /// The round being consumed; its twin in `exec.back` is being
-    /// synthesized.
-    round: RoundBuffers<R>,
+    scratch: RoundScratch<R>,
     exec: PoolState<'a, R>,
     /// Double-buffered block homes: the block finished last cycle stays
     /// readable (via [`CycleEngine::last_block`]) while the next cycle's
@@ -526,12 +575,11 @@ pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     in_flight: StageNanos,
     totals: EngineStats,
     /// Deterministic fault schedule (empty by default: the zero-cost no-fault
-    /// path) and the per-round snapshot it resolves into.
+    /// path); it resolves into the per-round snapshots of `exec.faults`.
     plan: FaultPlan,
-    faults: RoundFaults,
     /// Rounds synthesized since construction — the fault schedule's clock.
     /// Distinct from `totals.rounds`, which counts *consumed* rounds and
-    /// therefore lags synthesis inside the pipeline.
+    /// therefore lags synthesis inside the cycle.
     synth_round: u64,
     health: HealthState,
     /// Consumed-round stamp of the last discriminator hot-swap.
@@ -548,7 +596,8 @@ pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
 
 impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     /// Builds an engine on a process-wide 1-thread [`ShardPool`], which
-    /// spawns no thread: both pipeline stages run inline on the caller.
+    /// spawns no thread: every synthesis task and consume step runs inline
+    /// on the caller.
     ///
     /// # Panics
     ///
@@ -564,9 +613,10 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         Self::with_pool(cfg, chip, code, disc, inline_pool())
     }
 
-    /// Builds an engine whose cycles run on `pool`: each feedline group's
-    /// synthesis is one shard, and round `t+1`'s synthesis overlaps round
-    /// `t`'s consume stage. Output is **bit-identical** to
+    /// Builds an engine whose cycles run on `pool`: each (round, feedline
+    /// group) synthesis is one task of the cycle's one fan-out, and round
+    /// `t`'s consume step runs as soon as its rows are in, while later
+    /// rounds still synthesize. Output is **bit-identical** to
     /// [`CycleEngine::new`] at every pool size, and warm cycles stay free
     /// of heap allocation.
     ///
@@ -587,8 +637,20 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
             "discriminator and chip must cover the same channels"
         );
         let map = AncillaMap::new(code.n_stabilizers(), chip.n_qubits());
-        let n_groups = map.n_groups();
-        let synths: Vec<RoundSynth<R>> = (0..n_groups).map(|_| RoundSynth::new(chip)).collect();
+        let (n_groups, n_samples) = (map.n_groups(), chip.n_samples());
+        let synths: Vec<RoundSynth<R>> =
+            (0..pool.threads()).map(|_| RoundSynth::new(chip)).collect();
+        // Every round's batch holds its groups' rows for the engine's
+        // lifetime: synthesis overwrites whole rows.
+        let batches: Vec<ShotBatch<R>> = (0..cfg.rounds)
+            .map(|_| {
+                let mut batch = ShotBatch::with_capacity(n_groups, n_samples);
+                for _ in 0..n_groups {
+                    let _ = batch.push_empty_row();
+                }
+                batch
+            })
+            .collect();
         // meas_error_prob = 0: measurement noise comes from the physical
         // readout + discrimination loop, not the phenomenological coin.
         let noise = NoiseParams {
@@ -613,12 +675,23 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
             disc,
             rng: StdRng::seed_from_u64(cfg.seed),
             sim,
-            round: RoundBuffers::new(&map, chip.n_samples()),
+            scratch: RoundScratch {
+                measured: vec![false; map.n_ancillas()],
+                states: Vec::with_capacity(n_groups),
+                features: Vec::new(),
+            },
             exec: PoolState {
                 pool,
                 synths,
-                seeds: vec![0; n_groups],
-                back: RoundBuffers::new(&map, chip.n_samples()),
+                seeds: vec![0; cfg.rounds * n_groups],
+                parities: vec![false; cfg.rounds * map.n_ancillas()],
+                faults: vec![RoundFaults::nominal(chip.n_qubits()); cfg.rounds],
+                batches,
+                rows: BatchRows {
+                    bases: Vec::with_capacity(cfg.rounds),
+                    n_rows: n_groups,
+                    row_width: 2 * n_samples,
+                },
             },
             map,
             blocks: [empty.clone(), empty],
@@ -637,7 +710,6 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
             in_flight: StageNanos::default(),
             totals: EngineStats::default(),
             plan: FaultPlan::none(),
-            faults: RoundFaults::nominal(chip.n_qubits()),
             synth_round: 0,
             health,
             last_swap_round: 0,
@@ -672,7 +744,7 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     /// engine's lifetime, so installing at round `r` leaves events scheduled
     /// before `r` in the past.
     ///
-    /// Fault resolution is part of the serial round prologue and the
+    /// Fault resolution is part of the serial cycle prologue and the
     /// injected randomness rides the existing per-group synthesis streams,
     /// so engines under the same plan remain **bit-identical at every pool
     /// size**.
@@ -682,12 +754,13 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     /// Panics if the plan references a qubit outside the chip or carries a
     /// non-finite parameter.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        if let Err(e) = plan.validate(self.faults.n_qubits()) {
+        let n_qubits = self.disc.n_qubits();
+        if let Err(e) = plan.validate(n_qubits) {
             panic!("invalid fault plan: {e}");
         }
         self.plan = plan;
         // An emptied plan stops resolving: leave no stale snapshot behind.
-        self.faults = RoundFaults::nominal(self.faults.n_qubits());
+        self.exec.faults.fill(RoundFaults::nominal(n_qubits));
     }
 
     /// The installed fault schedule (empty by default).
@@ -751,10 +824,10 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         self.decoder.budget_ns = budget;
     }
 
-    /// Enables decode offload: a finished block's decode runs inside the
-    /// *next* cycle's round-0 pipeline slot — on a multi-thread pool hidden
-    /// behind that round's synthesis fan-out — so decode latency leaves the
-    /// cycle's critical path. Each [`CycleEngine::run_cycle`] then reports
+    /// Enables decode offload: a finished block's decode runs in the *next*
+    /// cycle's fan-out prelude — on a multi-thread pool hidden behind that
+    /// cycle's synthesis — so decode latency leaves the cycle's critical
+    /// path. Each [`CycleEngine::run_cycle`] then reports
     /// the *previous* block's outcome (the first reports an empty
     /// [`DecodeOutcome::default`]); call [`CycleEngine::drain_async_decode`]
     /// after the last cycle for the final block. The outcome *sequence* is
@@ -824,158 +897,157 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
 
     /// Runs one full cycle (block) and returns its outcome.
     ///
-    /// The cycle is a two-stage pipeline over the engine's two
-    /// [`RoundBuffers`]: round `t+1`'s sharded synthesis into the back
-    /// buffer overlaps the consume stage of round `t` in the front buffer,
-    /// then the buffers ping-pong. The block decodes at the end, as the
-    /// decode mode schedules it.
+    /// The cycle is the serial prologue over all its rounds, then one staged
+    /// fan-out that synthesizes every (round, group) row while the caller
+    /// consumes the rounds in order as their rows come in, then the block's
+    /// end and decode, as the decode mode schedules it.
     pub fn run_cycle(&mut self) -> CycleResult {
         self.run_cycle_with(None)
     }
 
     /// [`CycleEngine::run_cycle`] with an optional control-plane task run in
-    /// the round-0 pipeline slot — the one consume stage with nothing to
-    /// consume. A discriminator retrain scheduled there hides behind round
-    /// 0's synthesis fan-out instead of stalling the stream.
-    fn run_cycle_with(&mut self, mut extra: Option<&mut dyn FnMut()>) -> CycleResult {
+    /// the fan-out's prelude, before any round is consumed. A discriminator
+    /// retrain scheduled there hides behind the cycle's synthesis fan-out
+    /// instead of stalling the stream.
+    fn run_cycle_with(&mut self, extra: Option<&mut dyn FnMut()>) -> CycleResult {
         self.sim.reset();
         self.sim.reserve_rounds(self.cfg.rounds);
         self.health.monitor.begin_block();
         self.decoder.begin_block();
         self.in_flight = StageNanos::default();
         self.cycle_begin_ns = now_ns();
-        for t in 0..=self.cfg.rounds {
-            if t < self.cfg.rounds {
-                self.prepare_back_round(t);
-            }
-            self.pipelined_round(t, extra.take());
-            std::mem::swap(&mut self.round, &mut self.exec.back);
-        }
+        self.prologue();
+        self.fan_out(extra);
         self.finish_cycle()
     }
 
-    /// Stage one's serial prologue for round `t`: data errors, true
-    /// parities, and one entropy word from the master RNG. Every group's
-    /// synthesis stream is derived from that one draw via [`stream_seed`],
-    /// which is what makes round synthesis shard-order- and
-    /// thread-count-independent by construction. Also resolves the round's
-    /// faults and pre-sizes the back batch's rows for sharded writes.
-    fn prepare_back_round(&mut self, t: usize) {
-        let mut timer = StageTimer::start();
-        // The fault clock counts synthesized rounds; an empty plan — the
-        // zero-cost no-fault default — resolves nothing.
-        if !self.plan.is_empty() {
-            self.plan.resolve_into(self.synth_round, &mut self.faults);
+    /// The cycle's serial prologue, round by round in ascending order: the
+    /// round's fault snapshot, data errors, true parities, and one entropy
+    /// word from the master RNG. Every group's synthesis stream is derived
+    /// from that one draw via [`stream_seed`], which is what makes synthesis
+    /// shard-order- and thread-count-independent by construction.
+    fn prologue(&mut self) {
+        let n_groups = self.map.n_groups();
+        let exec = &mut self.exec;
+        let rounds = exec
+            .faults
+            .iter_mut()
+            .zip(exec.parities.chunks_exact_mut(self.map.n_ancillas()))
+            .zip(exec.seeds.chunks_exact_mut(n_groups));
+        for (t, ((faults, parities), seeds)) in rounds.enumerate() {
+            let mut timer = StageTimer::start();
+            // The fault clock counts synthesized rounds; an empty plan — the
+            // zero-cost no-fault default — resolves nothing.
+            if !self.plan.is_empty() {
+                self.plan.resolve_into(self.synth_round, faults);
+            }
+            self.synth_round += 1;
+            self.sim.apply_data_errors(&mut self.rng);
+            self.sim.true_parities_into(parities);
+            let entropy: u64 = self.rng.random();
+            for (g, s) in seeds.iter_mut().enumerate() {
+                *s = stream_seed(entropy, g as u64);
+            }
+            let (begin, ns) = timer.lap_span_ns();
+            self.in_flight.syndrome += ns;
+            self.telem
+                .note_span(SpanKind::Syndrome, begin, ns, t as u64);
         }
-        self.synth_round += 1;
-        let back = &mut self.exec.back;
-        self.sim.apply_data_errors(&mut self.rng);
-        self.sim.true_parities_into(&mut back.true_parities);
-        let entropy: u64 = self.rng.random();
-        for (g, s) in self.exec.seeds.iter_mut().enumerate() {
-            *s = stream_seed(entropy, g as u64);
-        }
-        back.batch.clear();
-        for _ in 0..self.map.n_groups() {
-            let _ = back.batch.push_empty_row();
-        }
-        let (begin, ns) = timer.lap_span_ns();
-        self.in_flight.syndrome += ns;
-        self.telem
-            .note_span(SpanKind::Syndrome, begin, ns, t as u64);
     }
 
-    /// Pipeline step `t` of a cycle: fans round `t`'s per-group synthesis
-    /// (when `t < rounds`) out across the pool while the calling thread runs
-    /// the consume stage of round `t - 1` — or, at `t == 0`, the idle slot:
-    /// `extra` and the previous block's offloaded decode. Synthesis is
-    /// charged the fan-out's wall time minus the consume stage: its exposed
-    /// latency. Allocation-free once warm.
-    fn pipelined_round(&mut self, t: usize, extra: Option<&mut dyn FnMut()>) {
-        let n_produce = if t < self.cfg.rounds {
-            self.map.n_groups()
-        } else {
-            0
-        };
+    /// The cycle's one staged fan-out: task `(t, g)` synthesizes group `g`
+    /// of round `t` into row `g` of round `t`'s batch, on the synthesizer of
+    /// the thread running it. The caller runs the prelude — `extra` and the
+    /// previous block's offloaded decode — then consumes each round as soon
+    /// as its rows are in. Synthesis is charged the fan-out's wall time minus
+    /// the caller's prelude and consume steps: its exposed latency.
+    /// Allocation-free once warm.
+    fn fan_out(&mut self, mut extra: Option<&mut dyn FnMut()>) {
+        let (n_groups, n_ancillas) = (self.map.n_groups(), self.map.n_ancillas());
         let prev_cycle = self.totals.cycles.saturating_sub(1);
-        let mut wall_timer = StageTimer::start();
         let CycleEngine {
             disc,
             map,
             sim,
-            round: front,
+            scratch,
             exec,
             blocks,
             active,
             decoder,
-            faults,
+            in_flight,
+            totals,
             health,
             telem,
             ..
         } = self;
-        let (disc, map, faults, telem): (&D, &AncillaMap, &RoundFaults, &EngineTelemetry) =
-            (*disc, map, faults, telem);
+        let (disc, map, telem): (&D, &AncillaMap, &EngineTelemetry) = (*disc, map, telem);
         let PoolState {
             pool,
             synths,
             seeds,
-            back,
+            parities,
+            faults,
+            batches,
+            rows,
         } = exec;
-        let n_samples = back.batch.n_samples();
-        let row_width = back.batch.row_width();
+        rows.bind(batches);
+        let batches: &[ShotBatch<R>] = batches;
+        let rows: &BatchRows<R> = rows;
+        let (seeds, parities, faults): (&[u64], &[bool], &[RoundFaults]) =
+            (seeds, parities, faults);
         let synth_tiles = Tiles::new(synths);
-        let row_tiles = Tiles::chunks(back.batch.as_mut_slice(), row_width);
-        let seeds: &[u64] = seeds;
-        let parities: &[bool] = &back.true_parities;
-        let round_faults = faults.is_active().then_some(faults);
+        let n_samples = rows.row_width / 2;
 
-        let (stage, consume_ns) = pool.overlap(
-            n_produce,
-            |g| {
-                // SAFETY: the pool claims each index exactly once per
-                // fan-out, so shard `g`'s synthesizer and batch row have no
-                // other live borrows.
-                let synth = unsafe { synth_tiles.item(g) };
-                let row = unsafe { row_tiles.tile(g) };
-                let (i_row, q_row) = row.split_at_mut(n_samples);
-                let mut rng = StdRng::seed_from_u64(seeds[g]);
+        let mut timer = StageTimer::start();
+        let mut caller_ns = 0;
+        pool.staged(
+            batches.len(),
+            n_groups,
+            |task, worker| {
+                let (t, g) = (task / n_groups, task % n_groups);
+                // SAFETY: no two tasks running at once share a worker index,
+                // so the worker's synthesizer has no other live borrow; the
+                // pool hands each task index to one task, and no consume
+                // step reads round `t` before all its tasks have completed,
+                // so row `g` of round `t` has none either.
+                let synth = unsafe { synth_tiles.item(worker) };
+                let (i_row, q_row) = unsafe { rows.row(t, g) }.split_at_mut(n_samples);
+                let round_faults = &faults[t];
+                let mut rng = StdRng::seed_from_u64(seeds[task]);
                 synth.synth_into_slot(
-                    map.prepared_state(g, parities),
-                    round_faults,
+                    map.prepared_state(g, &parities[t * n_ancillas..(t + 1) * n_ancillas]),
+                    round_faults.is_active().then_some(round_faults),
                     i_row,
                     q_row,
                     &mut rng,
                 );
             },
-            || {
-                let mut timer = StageTimer::start();
-                let mut stage = StageNanos::default();
-                if t == 0 {
-                    if let Some(f) = extra {
+            |step| match step {
+                CallerStep::Prelude => {
+                    timer.lap_ns();
+                    if let Some(f) = extra.take() {
                         f();
                     }
                     // The previous block stays in the active home until
                     // this cycle's finish swaps homes.
-                    decoder.decode_pending(&blocks[*active], telem, &mut stage, prev_cycle);
-                } else {
-                    stage = consume_round(disc, map, front, sim, health, decoder, telem);
+                    decoder.decode_pending(&blocks[*active], telem, in_flight, prev_cycle);
+                    caller_ns += timer.lap_ns();
                 }
-                (stage, timer.lap_ns())
+                CallerStep::Consume(t) => {
+                    // The synth span is the caller's wait for round `t`'s
+                    // rows; the per-worker layout of the fan-out lives on
+                    // the pool's worker tracks.
+                    let (wait_begin, wait_ns) = timer.lap_span_ns();
+                    telem.note_span(SpanKind::Synth, wait_begin, wait_ns, t as u64);
+                    let stage =
+                        consume_round(disc, map, &batches[t], scratch, sim, health, decoder, telem);
+                    in_flight.add(&stage);
+                    totals.rounds += 1;
+                    caller_ns += timer.lap_ns();
+                }
             },
         );
-
-        let (wall_begin, wall) = wall_timer.lap_span_ns();
-        self.in_flight.add(&stage);
-        if n_produce > 0 {
-            // The synth span covers the whole overlap window: the fan-out's
-            // exact per-worker layout lives on the pool's worker tracks.
-            self.telem
-                .note_span(SpanKind::Synth, wall_begin, wall, t as u64);
-            self.in_flight.synth += wall.saturating_sub(consume_ns);
-        }
-        if t > 0 {
-            self.totals.rounds += 1;
-        }
+        in_flight.synth += timer.elapsed_ns().saturating_sub(caller_ns);
     }
 
     /// Terminates the block with a perfect round, swaps it into the inactive
@@ -1044,9 +1116,9 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R> + Recalibrate> CycleEngi
     /// discriminator has harvested enough windows
     /// ([`Recalibrate::recal_ready`]), and the hot-swap cooldown has
     /// elapsed, the cycle retrains and atomically hot-swaps the
-    /// discriminator's calibration. The retrain runs in the round-0
-    /// pipeline slot, before any round of the cycle is discriminated; on a
-    /// multi-thread pool it hides behind round 0's synthesis fan-out.
+    /// discriminator's calibration. The retrain runs in the fan-out's
+    /// prelude, before any round of the cycle is discriminated; on a
+    /// multi-thread pool it hides behind the cycle's synthesis.
     ///
     /// A successful swap bumps [`EngineStats::hot_swaps`] and re-baselines
     /// the health monitor (the new calibration's feature scale invalidates
@@ -1086,13 +1158,15 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R> + Recalibrate> CycleEngi
     }
 }
 
-/// The consume stage of one round: batched discrimination of `front`,
-/// measured-syndrome commit, the health observation, and the sliding-window
-/// advance. Returns the stage time it spent.
+/// The consume step of one round: batched discrimination of the round's
+/// `batch`, measured-syndrome commit, the health observation, and the
+/// sliding-window advance. Returns the stage time it spent.
+#[allow(clippy::too_many_arguments)]
 fn consume_round<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
     disc: &D,
     map: &AncillaMap,
-    front: &mut RoundBuffers<R>,
+    batch: &ShotBatch<R>,
+    scratch: &mut RoundScratch<R>,
     sim: &mut SyndromeSim<'_>,
     health: &mut HealthState,
     decoder: &mut BlockDecoder<'_>,
@@ -1100,14 +1174,14 @@ fn consume_round<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
 ) -> StageNanos {
     let round = sim.round() as u64;
     let mut timer = StageTimer::start();
-    disc.discriminate_shot_batch_r_into(&front.batch, &mut front.features, &mut front.states);
+    disc.discriminate_shot_batch_r_into(batch, &mut scratch.features, &mut scratch.states);
     let (disc_begin, disc_ns) = timer.lap_span_ns();
-    for (a, m) in front.measured.iter_mut().enumerate() {
+    for (a, m) in scratch.measured.iter_mut().enumerate() {
         let (g, c) = map.slot(a);
-        *m = front.states[g].qubit(c);
+        *m = scratch.states[g].qubit(c);
     }
-    sim.record_measured_syndrome(&front.measured);
-    observe_round_health(disc, map, health, &front.features, &front.measured);
+    sim.record_measured_syndrome(&scratch.measured);
+    observe_round_health(disc, map, health, &scratch.features, &scratch.measured);
     let (commit_begin, commit_ns) = timer.lap_span_ns();
     telem.note_span(SpanKind::Discriminate, disc_begin, disc_ns, round);
     telem.note_span(SpanKind::Syndrome, commit_begin, commit_ns, round);

@@ -18,14 +18,15 @@
 //! is replaced by the physical thing it abstracts: misdiscrimination of
 //! synthesized multiplexed readout waveforms.
 //!
-//! * [`CycleEngine`] — the engine: double-buffered blocks, reusable
-//!   [`engine::RoundBuffers`], a blocking [`CycleEngine::run_cycles`] API and a
+//! * [`CycleEngine`] — the engine: double-buffered blocks, a reusable
+//!   cycle-wide shot batch, a blocking [`CycleEngine::run_cycles`] API and a
 //!   pull-based [`CycleEngine::cycles`] iterator with per-stage timings.
-//!   Every engine runs one round pipeline on a [`herqles_exec::ShardPool`]
+//!   Every engine runs one cycle pipeline on a [`herqles_exec::ShardPool`]
 //!   (a 1-thread inline pool for [`CycleEngine::new`], the caller's for
-//!   [`CycleEngine::with_pool`]): feedline groups become shards, each owning
-//!   its [`RoundSynth`], and round `t+1`'s synthesis overlaps round `t`'s
-//!   discriminate → syndrome → window-decode stage. Bit-identical at every
+//!   [`CycleEngine::with_pool`]): one staged fan-out per cycle, one task per
+//!   (round, feedline group) row on the [`RoundSynth`] of the thread running
+//!   it, while the caller runs round `t`'s discriminate → syndrome →
+//!   window-decode step as soon as its rows are in. Bit-identical at every
 //!   pool size; pool dispatch adds no allocation;
 //! * [`RoundSynth`] — re-exported from `readout_sim`: the one readout
 //!   synthesizer, which also generates the calibration [`Dataset`]s the

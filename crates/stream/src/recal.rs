@@ -26,9 +26,9 @@
 //!    generation.
 //!
 //! The retrain path may allocate (it is a rare control-plane event, and the
-//! streaming engine can hide it behind synthesis via
-//! [`herqles_exec::ShardPool::overlap`]); the harvest path on the round loop
-//! is allocation-free once warm.
+//! streaming engine hides it behind synthesis in the prelude of its
+//! [`herqles_exec::ShardPool::staged`] fan-out); the harvest path on the
+//! round loop is allocation-free once warm.
 //!
 //! Self-labeling is honest about its limits: labels come from the *current*
 //! calibration, so recovery works while the drifted channel still labels

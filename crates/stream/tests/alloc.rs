@@ -76,11 +76,12 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
 
     // Whole warm cycles are pinned at a hard **zero**: with the decoder's
     // matching scratch owned by the engine (`DecodeScratch`, pre-sized at
-    // construction), a steady-state `run_cycle` — every pipeline step on the
-    // inline 1-thread pool, block write-out, exact-matching decode — must
-    // not touch the heap at all. Two warm-up cycles size every buffer, both
-    // ping-ponged round buffers included (the event store is pre-reserved
-    // to its hard upper bound, so later rounds cannot outgrow it).
+    // construction), a steady-state `run_cycle` — every synthesis task and
+    // consume step on the inline 1-thread pool, block write-out,
+    // exact-matching decode — must not touch the heap at all. Two warm-up
+    // cycles size every buffer (the cycle-wide batch is sized at
+    // construction, and the event store is pre-reserved to its hard upper
+    // bound, so later rounds cannot outgrow it).
     let mut serial = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
     let _ = serial.run_cycle();
     let _ = serial.run_cycle();
@@ -108,28 +109,33 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         "warm whole f32 cycles must not touch the heap"
     );
 
-    let pool = ShardPool::new(3);
-    // Deterministic pool warm-up: with dynamic scheduling a worker may claim
-    // no task during the warm-up cycles and pay its one-time lazy runtime
-    // initialization inside the probed window; warm_up forces every thread
-    // through one full task first.
-    pool.warm_up();
-    let mut pooled = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
-    let _ = pooled.run_cycle();
-    let _ = pooled.run_cycle();
-
     // The pooled engine carries the invariant across the fan-out: job
-    // dispatch publishes one borrowed fat pointer, workers park on a
-    // condvar, and every shard writes pre-sized buffers; the counting
-    // allocator is process-global, so worker-side allocations would be
-    // caught here too.
-    let pooled_cycle_allocs = min_allocs_over(3, || {
+    // dispatch publishes one borrowed fat pointer into pre-sized stage
+    // counters, idle threads spin on atomics or park on a condvar, and
+    // every task writes pre-sized rows; the counting allocator is
+    // process-global, so worker-side allocations would be caught here too.
+    // Two pool sizes cover both idle paths: 2 threads spin on any host with
+    // at least 2 cores, while 3 threads exceed a 2-core host and park.
+    let spinning_pool = ShardPool::new(2);
+    let pool = ShardPool::new(3);
+    for pool in [&spinning_pool, &pool] {
+        let threads = pool.threads();
+        // Deterministic pool warm-up: with dynamic scheduling a worker may
+        // claim no task during the warm-up cycles and pay its one-time lazy
+        // runtime initialization inside the probed window; warm_up forces
+        // every thread through one full task first.
+        pool.warm_up();
+        let mut pooled = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), pool);
         let _ = pooled.run_cycle();
-    });
-    assert_eq!(
-        pooled_cycle_allocs, 0,
-        "warm whole pooled cycles must not touch the heap"
-    );
+        let _ = pooled.run_cycle();
+        let pooled_cycle_allocs = min_allocs_over(3, || {
+            let _ = pooled.run_cycle();
+        });
+        assert_eq!(
+            pooled_cycle_allocs, 0,
+            "warm whole pooled cycles on {threads} threads must not touch the heap"
+        );
+    }
 
     // Active fault injection keeps the invariant: fault resolution writes a
     // pre-sized `RoundFaults` snapshot, the faulted synthesis branches work
@@ -355,7 +361,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // warm round pushes events into the window, advances cluster growth, and
     // commits confined clusters behind the lag — all against the pre-sized
     // window scratch. Serial and pooled (where the window advance overlaps
-    // the next round's synthesis fan-out).
+    // later rounds' synthesis).
     let mut windowed = CycleEngine::new(dense_cfg, &chip, &code, disc.as_ref());
     windowed.set_sliding_window(3);
     let _ = windowed.run_cycle();
@@ -381,8 +387,8 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     );
 
     // Async decode offload: a warm cycle that decodes the previous block
-    // inside its round-0 pipeline slot (alongside the synthesis fan-out)
-    // must be allocation-free too. Serial and pooled.
+    // in its fan-out prelude (alongside the synthesis tasks) must be
+    // allocation-free too. Serial and pooled.
     let mut offloaded = CycleEngine::new(dense_cfg, &chip, &code, disc.as_ref());
     let mut offloaded_pooled =
         CycleEngine::with_pool(dense_cfg, &chip, &code, disc.as_ref(), &pool);

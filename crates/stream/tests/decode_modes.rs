@@ -3,9 +3,9 @@
 //!
 //! * Sliding-window mode commits clusters behind the stream as rounds
 //!   arrive; its per-cycle outcomes must be identical to whole-block mode.
-//! * Async offload moves each block's decode into the next cycle's round-0
-//!   pipeline slot; the outcome sequence (shifted one cycle, plus the
-//!   drained final block) must equal the synchronous sequence.
+//! * Async offload moves each block's decode into the next cycle's fan-out
+//!   prelude; the outcome sequence (shifted one cycle, plus the drained
+//!   final block) must equal the synchronous sequence.
 
 use herqles_exec::ShardPool;
 use herqles_stream::{train_mf_discriminator, CycleConfig, CycleEngine};

@@ -15,7 +15,7 @@ use readout_sim::trace::IqPoint;
 use readout_sim::ChipConfig;
 use surface_code::{RotatedSurfaceCode, SyndromeBlock};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
 fn assert_pooled_matches_serial<R, D>(
     cfg: CycleConfig,

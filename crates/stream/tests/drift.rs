@@ -45,8 +45,8 @@ fn drift_is_detected_and_recovered_by_hot_swap() {
         data_error_prob: 0.03,
         seed: 7,
     };
-    // Pooled engine: the retrain must be able to hide behind the round-0
-    // synthesis fan-out (run_cycle_adaptive's overlapped path).
+    // Pooled engine: the retrain must be able to hide behind the cycle's
+    // synthesis fan-out (run_cycle_adaptive's prelude path).
     let pool = ShardPool::new(2);
     let mut engine = CycleEngine::<f64, _>::with_pool(cfg, &chip, &code, &adaptive, &pool);
     // Slow EWMA + long baseline: on a 4-ancilla code one flipped ancilla is

@@ -9,9 +9,10 @@
 //! cycle on a shared, loaded host is almost always descheduled at some
 //! point, and wall-time minima then differ by the luck of preemption (up
 //! to ±10 % between the arms with both cores busy) rather than by what
-//! the cycle costs. CPU time counts the work of every engine thread — the
-//! pool's idle workers block on a condvar, so they add nothing — and
-//! leaves out the time spent waiting for a core. Two engines trade the
+//! the cycle costs. CPU time counts the work of every engine thread — both
+//! engines run on the inline 1-thread pool, which has no worker to spin or
+//! park, so nothing but the cycle's own work is counted — and leaves out
+//! the time spent waiting for a core. Two engines trade the
 //! enabled and disabled roles every attempt, so a per-engine cost offset
 //! lands in both arms. The bound is asserted on the minima, with cycles
 //! large enough (d=5, full cycles) that the per-cycle telemetry work —

@@ -24,8 +24,9 @@ use std::sync::atomic::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// Readout-trace synthesis for one round (or one pipelined fan-out
-    /// window); `arg` = round index within the cycle.
+    /// Readout-trace synthesis for one round (on a pooled engine, the time
+    /// the cycle's consume step waited for the round's rows); `arg` = round
+    /// index within the cycle.
     Synth = 0,
     /// Shot discrimination for one round; `arg` = round index.
     Discriminate = 1,

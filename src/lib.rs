@@ -6,7 +6,7 @@
 //! on a single crate:
 //!
 //! * [`exec`] — deterministic parallel execution runtime (shard pool,
-//!   pipeline overlap, RNG stream derivation)
+//!   staged fan-out, RNG stream derivation)
 //! * [`sim`] — physics-level readout-trace simulator (dataset substrate)
 //! * [`dsp`] — demodulation, boxcar filtering, matched / relaxation matched filters
 //! * [`nn`] — minimal dense neural-network library (training + quantized inference)
