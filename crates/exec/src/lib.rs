@@ -1,11 +1,12 @@
 //! # herqles-exec — deterministic parallel execution runtime
 //!
-//! The streaming QEC-cycle engine and the calibration-dataset generator both
-//! shard *embarrassingly parallel but order-sensitive* work: every shard's
-//! output must be a pure function of `(shard index, seed)` so that running
-//! on 1, 2 or 16 threads produces bit-identical results. Before this crate
-//! each call site hand-rolled `std::thread::scope` sharding; this crate
-//! centralizes the pattern behind a persistent worker pool:
+//! The streaming QEC-cycle engine, the calibration-dataset generator and
+//! `readout-nn`'s row-split GEMMs and network forward all shard
+//! *embarrassingly parallel but order-sensitive* work: every shard's output
+//! must be a pure function of `(shard index, seed)` so that running on 1, 2
+//! or 16 threads produces bit-identical results. This crate is the
+//! workspace's one parallel runtime — no library code spawns threads of its
+//! own — and centralizes the pattern behind a persistent worker pool:
 //!
 //! * [`ShardPool`] — a fixed set of persistent worker threads with one
 //!   dispatch primitive and two shorthands for it:

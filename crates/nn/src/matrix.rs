@@ -4,13 +4,14 @@
 //! Deliberately minimal: just what dense-layer training and batched readout
 //! inference need. The matmul kernel ([`gemm_into`]) streams each output row
 //! against an L1-resident right-operand tile (`KC × NC` doubles = 32 KiB)
-//! and parallelizes over output-row blocks with scoped threads when the
-//! problem is large enough to amortize spawning. It is exposed on raw
-//! slices so callers owning flat buffers (e.g. `ShotBatch` planes) can
-//! multiply with zero copies. Its single-thread body is one crate-internal
-//! helper that `Mlp::forward` also runs on 16-row inference tiles, so a
-//! network's layers do exactly the per-row arithmetic of [`Matrix::matmul`]
-//! without a per-layer matrix or thread fan-out.
+//! and, when the problem is large enough, hands fixed-size output-row
+//! blocks to the crate's one persistent [`ShardPool`], whose workers and
+//! calling thread claim them dynamically. It is exposed on raw slices so
+//! callers owning flat buffers (e.g. `ShotBatch` planes) can multiply with
+//! zero copies. Its single-thread body is one crate-internal helper that
+//! `Mlp::forward` also runs on 16-row inference tiles, so a network's
+//! layers do exactly the per-row arithmetic of [`Matrix::matmul`] without a
+//! per-layer matrix or fan-out.
 //!
 //! Every inner loop — one register-resident panel update
 //! ([`Kernel::axpy_panel`]) per output row and tile on the broadcast path,
@@ -24,31 +25,28 @@
 //! the kernel-parity suite can compare them head to head in one process.
 
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
+use herqles_exec::ShardPool;
 use herqles_num::kernel::{active_kernel_name, Kernel, ScalarKernel};
 use herqles_num::Real;
 
 /// Minimum number of multiply-accumulates before a matmul (or a whole
-/// `Mlp::forward`) splits its rows across threads.
+/// `Mlp::forward`) splits its rows across the shared pool.
 ///
-/// Measured on the 2-vCPU AVX2 box: a scoped spawn + join of one extra
-/// thread costs 15–30 µs, and one thread sustains 4–13 GMAC/s. With the
-/// panel microkernel: 64³: 4.6, 16×1000×500: 13.5, the five-qubit head
-/// forward ≈ 10. With the dot-tile skinny kernel (one thread pinned to one
-/// core, fastest call of each of 2 runs): 256×1000×5 skinny 9.8–12.0
-/// against 5.9–6.8 for the per-row kernel before it in alternating runs,
-/// and the front end's 1024×1000×10 10.1–11.2 against 6.4–8.1. Those runs
-/// read 64³ at 8.4–10.4 and 16×1000×500 at 5.7–7.7: paths the tile does
-/// not touch, slower than when the panel figures were taken. 2^18 MACs is
-/// therefore only 20–65 µs of work, and a two-way split there breaks even
-/// at best: the head forward
-/// took 25 µs unsplit at 107 rows and 41 µs split at 108 rows (fastest of
-/// 1000). The split pays clearly from ≈ 2^21 MACs — the 1024-shot head
-/// forward runs in ≈ 165 µs split against ≈ 245 µs on one thread. Every
-/// GEMM of the benchmarked paths sits either far below 2^18 (stream
+/// Measured on the 2-vCPU AVX2 box: one thread sustains 4–13 GMAC/s (with
+/// the panel microkernel: 64³: 4.6, 16×1000×500: 13.5, the five-qubit head
+/// forward ≈ 10; with the dot-tile skinny kernel, 256×1000×5: 9.8–12.0 and
+/// the front end's 1024×1000×10: 10.1–11.2), so 2^18 MACs is 20–65 µs of
+/// work. A fan-out of 16 empty tasks on a warm 2-thread `ShardPool` costs
+/// 2.4 µs (p50 of 2000) while its worker still spins from the last one and
+/// 5.1 µs (p90 11.9 µs) after a 1 ms idle gap has parked it. A split at
+/// the threshold pays: the head forward took 54 µs (p50) on one thread and
+/// 35 µs pooled at 108 rows (64 + 44), 499 µs and 286 µs at 1024 rows.
+/// Every GEMM of the benchmarked paths sits either far below 2^18 (stream
 /// discrimination) or above 2^21 (1024-shot readout batches), so the value
-/// is kept; retuning it needs the in-between shapes measured first.
+/// is kept; lowering it needs the in-between shapes measured first.
 const PARALLEL_THRESHOLD: usize = 1 << 18;
 
 /// Right-operand tile depth (rows of `rhs` per tile).
@@ -62,6 +60,12 @@ const NC: usize = 64;
 /// Output rows per [`Kernel::dot_tile`] on the tall-skinny path: the rows
 /// that share each L1-resident segment of the transposed right operand.
 const ROW_BLOCK: usize = 8;
+
+/// Rows per pooled task when a product splits ([`for_row_blocks`]): a
+/// multiple of [`ROW_BLOCK`] and of `Mlp::forward`'s 16-row inference tile,
+/// so no block ends in a partial tile but the last. A 1024-shot readout
+/// batch is 16 blocks, so a worker that wakes late still finds some left.
+const SPLIT_ROWS: usize = 64;
 
 /// Column count at or below which the kernel switches to the tall-skinny
 /// path ([`Rhs::Skinny`]): transpose `rhs` once, then compute each output
@@ -308,10 +312,10 @@ impl<R: Real> Matrix<R> {
 ///
 /// `out` is fully overwritten. The kernel tiles `rhs` into `KC × NC` blocks
 /// that stay L1-resident while every output row streams against them, and
-/// splits output rows across scoped threads once the MAC count crosses
-/// `PARALLEL_THRESHOLD` (2^18). This is the workhorse behind both
-/// [`Matrix::matmul`] and the zero-copy batched readout-inference kernels,
-/// which own flat buffers rather than `Matrix` values.
+/// splits output rows across the crate's shared thread pool once the MAC
+/// count crosses `PARALLEL_THRESHOLD` (2^18). This is the workhorse behind
+/// both [`Matrix::matmul`] and the zero-copy batched readout-inference
+/// kernels, which own flat buffers rather than `Matrix` values.
 ///
 /// # Panics
 ///
@@ -351,36 +355,50 @@ pub fn gemm_into_with<R: Real, K: Kernel<R> + ?Sized>(
     assert_eq!(rhs.len(), k * n, "rhs length must equal k*n");
     assert_eq!(out.len(), m * n, "out length must equal m*n");
     let rhs = Rhs::new(rhs, k, n);
-    let threads = threads_for(m * k * n, m);
-    if threads <= 1 {
-        gemm_rows_into(kernel, lhs, &rhs, out, m, k, n);
-    } else {
-        let chunk = m.div_ceil(threads);
-        let rhs = &rhs;
-        std::thread::scope(|scope| {
-            for (lhs_block, out_block) in lhs.chunks(chunk * k).zip(out.chunks_mut(chunk * n)) {
-                let rows = out_block.len() / n;
-                scope.spawn(move || gemm_rows_into(kernel, lhs_block, rhs, out_block, rows, k, n));
-            }
-        });
-    }
+    for_row_blocks(m * k * n, m, lhs, k, out, n, |lhs, out, rows| {
+        gemm_rows_into(kernel, lhs, &rhs, out, rows, k, n);
+    });
 }
 
-/// How many threads a problem of `work` multiply-accumulates over `rows`
-/// row blocks is split across: one below [`PARALLEL_THRESHOLD`], else the
-/// machine's available parallelism (at most one thread per block).
+/// Runs `body(lhs_rows, out_rows, rows)` over the `rows` rows of a product
+/// of `work` multiply-accumulates whose row `r` reads `lhs_width` values of
+/// `lhs` and writes `out_width` values of `out`.
 ///
-/// The parallelism is read once per process: on Linux the query reads the
-/// cgroup CPU quota, measured at 13–17 µs a call.
-pub(crate) fn threads_for(work: usize, rows: usize) -> usize {
-    static PARALLELISM: OnceLock<usize> = OnceLock::new();
-    if work >= PARALLEL_THRESHOLD {
-        let cores = *PARALLELISM
-            .get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()));
-        cores.min(rows.max(1))
-    } else {
-        1
-    }
+/// Below [`PARALLEL_THRESHOLD`], within one [`SPLIT_ROWS`] block or on a
+/// one-core machine, `body` runs once on the whole problem. Otherwise the
+/// crate's one [`ShardPool`] — built at the first split, sized to the
+/// machine — runs it on [`SPLIT_ROWS`] blocks that its workers and the
+/// calling thread claim as they come free. `body` computes each row from
+/// that row alone, so the split moves no bit. No task publishes a fan-out,
+/// so none nests on the pool; callers on other threads queue for it, and a
+/// call from another pool's task or caller step is fine.
+pub(crate) fn for_row_blocks<R: Real>(
+    work: usize,
+    rows: usize,
+    lhs: &[R],
+    lhs_width: usize,
+    out: &mut [R],
+    out_width: usize,
+    body: impl Fn(&[R], &mut [R], usize) + Sync,
+) {
+    static POOL: OnceLock<ShardPool> = OnceLock::new();
+    let pool = (work >= PARALLEL_THRESHOLD && rows > SPLIT_ROWS)
+        .then(|| {
+            POOL.get_or_init(|| {
+                ShardPool::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+            })
+        })
+        .filter(|pool| pool.threads() > 1);
+    let Some(pool) = pool else {
+        return body(lhs, out, rows);
+    };
+    let mut blocks: Vec<(&[R], &mut [R])> = lhs
+        .chunks(SPLIT_ROWS * lhs_width)
+        .zip(out.chunks_mut(SPLIT_ROWS * out_width))
+        .collect();
+    pool.run_mut(&mut blocks, |_, (lhs, out)| {
+        body(lhs, out, lhs.len() / lhs_width)
+    });
 }
 
 /// A `[k × n]` right operand prepared for [`gemm_rows_into`]: the
@@ -416,9 +434,9 @@ impl<'a, R: Real> Rhs<'a, R> {
 
 /// The single-thread body of [`gemm_into`]: `out = lhs · rhs` over `m`
 /// rows (`lhs` is `[m × k]`, `out` is `[m × n]`). Each output row's
-/// arithmetic depends only on that row, so any split of the rows — threads
-/// in [`gemm_into`], inference tiles in `Mlp::forward` — computes the same
-/// bits as one call over all of them.
+/// arithmetic depends only on that row, so any split of the rows — pooled
+/// row blocks in [`gemm_into`], inference tiles in `Mlp::forward` —
+/// computes the same bits as one call over all of them.
 pub(crate) fn gemm_rows_into<R: Real, K: Kernel<R> + ?Sized>(
     kernel: &K,
     lhs: &[R],
@@ -473,20 +491,9 @@ pub fn gemm_rt_into_with<R: Real, K: Kernel<R> + ?Sized>(
     assert_eq!(lhs.len(), m * k, "lhs length must equal m*k");
     assert_eq!(rhs_t.len(), k * n, "rhs_t length must equal k*n");
     assert_eq!(out.len(), m * n, "out length must equal m*n");
-    let threads = threads_for(m * k * n, m);
-    if threads <= 1 {
-        gemm_rows_skinny(kernel, lhs, rhs_t, out, m, k, n);
-    } else {
-        let chunk = m.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (lhs_block, out_block) in lhs.chunks(chunk * k).zip(out.chunks_mut(chunk * n)) {
-                let rows = out_block.len() / n;
-                scope.spawn(move || {
-                    gemm_rows_skinny(kernel, lhs_block, rhs_t, out_block, rows, k, n)
-                });
-            }
-        });
-    }
+    for_row_blocks(m * k * n, m, lhs, k, out, n, |lhs, out, rows| {
+        gemm_rows_skinny(kernel, lhs, rhs_t, out, rows, k, n);
+    });
 }
 
 /// Tall-skinny kernel: `rhs_t` is the `[n × k]` transpose of `rhs`, so every
@@ -638,7 +645,8 @@ mod tests {
 
     #[test]
     fn parallel_matmul_matches_naive() {
-        // Big enough to cross PARALLEL_THRESHOLD.
+        // Big enough to cross PARALLEL_THRESHOLD and split into two
+        // SPLIT_ROWS blocks.
         let a = pseudo_random(128, 200, 3);
         let b = pseudo_random(200, 64, 4);
         let fast = a.matmul(&b);
@@ -671,7 +679,8 @@ mod tests {
 
     #[test]
     fn gemm_rt_parallel_path_matches() {
-        // Large enough to cross PARALLEL_THRESHOLD.
+        // Large enough to cross PARALLEL_THRESHOLD: four full SPLIT_ROWS
+        // blocks and a ragged fifth.
         let a = pseudo_random(300, 500, 13);
         let b = pseudo_random(500, 4, 14);
         let bt = b.transpose();
@@ -684,10 +693,10 @@ mod tests {
 
     /// Each output row of the tall-skinny GEMM must not depend on the rows
     /// computed with it: row `r` of an `m`-row call is `to_bits`-equal to
-    /// the same row of a 1024-row call (which the thread split divides),
-    /// at the front end's depth `k = 1000`, for every skinny width, at the
-    /// start and at the end of the batch, on the scalar reference and on
-    /// the dispatched backend.
+    /// the same row of a 1024-row call (which the pool splits into 16
+    /// blocks), at the front end's depth `k = 1000`, for every skinny
+    /// width, at the start and at the end of the batch, on the scalar
+    /// reference and on the dispatched backend.
     #[test]
     fn gemm_rt_rows_do_not_depend_on_the_batch() {
         const M: usize = 1024;

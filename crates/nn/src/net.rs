@@ -11,7 +11,7 @@ use herqles_num::Real;
 use crate::data::minibatch_indices;
 use crate::layers::{relu_inplace, Dense};
 use crate::loss::{softmax, softmax_cross_entropy};
-use crate::matrix::{gemm_rows_into, threads_for, Matrix, Rhs};
+use crate::matrix::{for_row_blocks, gemm_rows_into, Matrix, Rhs};
 use crate::optim::{Adam, Optimizer, Sgd};
 
 /// Rows per inference tile in [`Mlp::forward`]: every layer's activations
@@ -159,8 +159,8 @@ impl Mlp {
     /// buffers: per layer, the single-thread GEMM body of
     /// [`gemm_into`](crate::matrix::gemm_into) on the tile, then bias add
     /// and (on hidden layers) ReLU in place. No per-layer matrix or ReLU
-    /// mask is built, and the rows are split across threads at most once,
-    /// when the whole forward crosses the matmul's parallel threshold.
+    /// mask is built, and the rows are split into pooled blocks at most
+    /// once, when the whole forward crosses the matmul's parallel threshold.
     /// Every layer does the same per-row arithmetic as [`Dense::forward`]
     /// followed by [`relu_inplace`], so the logits are bit-identical to
     /// that layer chain on every kernel backend.
@@ -191,23 +191,10 @@ impl Mlp {
                 Rhs::new(w.as_slice(), w.rows(), w.cols())
             })
             .collect();
-        let threads = threads_for(m * self.n_macs(), m.div_ceil(TILE));
-        if threads <= 1 {
-            self.forward_rows(kernel, &rhs, x.as_slice(), out.as_mut_slice());
-        } else {
-            let chunk = m.div_ceil(threads).next_multiple_of(TILE);
-            let n_in = self.input_size();
-            let rhs = &rhs;
-            std::thread::scope(|scope| {
-                for (x_block, out_block) in x
-                    .as_slice()
-                    .chunks(chunk * n_in)
-                    .zip(out.as_mut_slice().chunks_mut(chunk * n_out))
-                {
-                    scope.spawn(move || self.forward_rows(kernel, rhs, x_block, out_block));
-                }
-            });
-        }
+        let (work, x, n_in) = (m * self.n_macs(), x.as_slice(), self.input_size());
+        for_row_blocks(work, m, x, n_in, out.as_mut_slice(), n_out, |x, out, _| {
+            self.forward_rows(kernel, &rhs, x, out);
+        });
         out
     }
 

@@ -4,13 +4,13 @@
 //! The reference is built from public parts only: [`Dense::forward`] on the
 //! whole batch, then [`relu_inplace`] before every later layer. The tiled
 //! forward walks 16-row tiles through all layers and may split the rows
-//! across threads, so the nets and batch sizes below cross every edge that
-//! could move a bit: widths 1–70 (lane and unroll remainders, the
-//! `KC`/`NC` = 64 tile boundaries), a tall-skinny layer (`n ≤ 16`,
-//! `k ≥ 32`), batches of 0, 1, 15, 16, 17 and 1027 rows (tile edges and
-//! the threaded split), an all-zero input row and a ReLU unit that is dead
-//! on every row. Logits must match `to_bits`, on whichever kernel backend
-//! `HERQLES_KERNEL` selects.
+//! into 64-row blocks on a thread pool, so the nets and batch sizes below
+//! cross every edge that could move a bit: widths 1–70 (lane and unroll
+//! remainders, the `KC`/`NC` = 64 tile boundaries), a tall-skinny layer
+//! (`n ≤ 16`, `k ≥ 32`), batches of 0, 1, 15, 16, 17, 65 and 1027 rows
+//! (tile edges and the pooled split), an all-zero input row and a ReLU
+//! unit that is dead on every row. Logits must match `to_bits`, on
+//! whichever kernel backend `HERQLES_KERNEL` selects.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -85,8 +85,8 @@ fn assert_bit_identical(label: &str, got: &Matrix, want: &Matrix) {
 
 /// Fixed architectures: the paper's five-qubit head, width-1 and width-70
 /// layers, every `KC`/`NC` = 64 neighbour, a tall-skinny layer (`33 → 12`),
-/// and a net wide enough (18 480 MACs per row) that 17 rows already cross
-/// the 2^18-MAC parallel threshold and split into a 16-row and a 1-row
+/// and a net wide enough (18 480 MACs per row) that 65 rows already cross
+/// the 2^18-MAC parallel threshold and split into a 64-row and a 1-row
 /// block on a multi-core host.
 const FIXED: &[&[usize]] = &[
     &[10, 20, 40, 20, 32],
@@ -97,9 +97,9 @@ const FIXED: &[&[usize]] = &[
     &[70, 70, 65, 70, 64],
 ];
 
-/// Batch sizes: tile edges and a batch large enough to split across
-/// threads for every net above but `[1, 70, 1, 5]`.
-const ROWS: &[usize] = &[0, 1, 15, 16, 17, 1027];
+/// Batch sizes: tile edges, a last pooled block of one row, and a batch
+/// large enough to split for every net above but `[1, 70, 1, 5]`.
+const ROWS: &[usize] = &[0, 1, 15, 16, 17, 65, 1027];
 
 #[test]
 fn tiled_forward_matches_layer_chain_bitwise() {

@@ -192,9 +192,10 @@ pub struct EngineStats {
     pub hot_swaps: u64,
     /// Cumulative per-stage wall time.
     pub stage: StageNanos,
-    /// Per-stage latency percentiles (p50/p90/p99/max, ns per cycle) from
-    /// the engine's [`EngineTelemetry`] histograms. All-zero while telemetry
-    /// is disabled or before the first cycle.
+    /// Per-stage latency percentiles (p50/p90/p99/max, ns per cycle), read
+    /// from the engine's [`EngineTelemetry`] histograms when
+    /// [`CycleEngine::stats`] is called: all-zero before the first recorded
+    /// cycle, unchanged while telemetry is disabled.
     pub latency: StageLatency,
     /// Flight-recorder records lost to overwrite
     /// ([`EngineTelemetry::dropped_events`]): nonzero means the flight
@@ -729,9 +730,15 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         &self.map
     }
 
-    /// Aggregate statistics since construction.
-    pub fn stats(&self) -> &EngineStats {
-        &self.totals
+    /// Aggregate statistics since construction, with the latency
+    /// percentiles and the flight recorder's dropped-record count read from
+    /// the telemetry bundle now. Allocation-free.
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            latency: self.telem.stage_latency(),
+            trace_dropped: self.telem.dropped_events(),
+            ..self.totals
+        }
     }
 
     /// The most recently completed block (empty before the first cycle).
@@ -884,15 +891,10 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     }
 
     /// Enables or disables telemetry recording (enabled by default). While
-    /// disabled the engine skips every histogram/counter/ring touch;
-    /// [`EngineStats::latency`] stops refreshing.
+    /// disabled the engine skips every histogram/counter/ring touch, so
+    /// [`EngineStats::latency`] stops changing.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
         self.telem.set_enabled(enabled);
-    }
-
-    /// Current per-stage latency percentiles (ns per cycle). Allocation-free.
-    pub fn stage_latency(&self) -> StageLatency {
-        self.telem.stage_latency()
     }
 
     /// Runs one full cycle (block) and returns its outcome.
@@ -1091,10 +1093,6 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
         self.totals.stage.add(&self.in_flight);
         self.telem
             .observe_cycle(cycle_index, &stats, &outcome, transitions_delta);
-        if self.telem.enabled() {
-            self.totals.latency = self.telem.stage_latency();
-        }
-        self.totals.trace_dropped = self.telem.dropped_events();
         CycleResult { outcome, stats }
     }
 

@@ -191,9 +191,9 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     );
 
     // Telemetry is enabled by default, so every probe above already ran with
-    // histogram recording, counter bumps, flight-recorder span recording
-    // and the per-cycle percentile refresh inside the zero-allocation
-    // window. Make that explicit: the engines really were recording.
+    // histogram recording, counter bumps and flight-recorder span recording
+    // inside the zero-allocation window. Make that explicit: the engines
+    // really were recording.
     assert!(
         serial.telemetry().spans().recorded() > 0,
         "default-on span tracing must have recorded stage spans"
@@ -277,7 +277,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     let _ = registered.run_cycle();
     let registered_cycle_allocs = min_allocs_over(3, || {
         let _ = registered.run_cycle();
-        let _ = registered.stage_latency();
+        let _ = registered.stats();
     });
     assert_eq!(
         registered_cycle_allocs, 0,

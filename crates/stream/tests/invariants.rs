@@ -71,7 +71,7 @@ fn run<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
         out.blocks.push(engine.last_block().clone());
     }
     out.drained = engine.drain_async_decode();
-    out.stats = *engine.stats();
+    out.stats = engine.stats();
     out
 }
 
