@@ -43,9 +43,8 @@ use std::sync::Arc;
 use herqles_core::Real;
 use herqles_num::kernel::active_kernel_name;
 use herqles_stream::{
-    demo_alert_rules, train_mf_discriminator_typed, AdaptiveMf, CycleConfig, CycleEngine,
-    DriftEvent, EngineTelemetry, FaultPlan, HealthConfig, HealthStatus, PoolTelemetry, RecalConfig,
-    ShardPool,
+    demo_alert_rules, train_mf_discriminator, AdaptiveMf, CycleConfig, CycleEngine, DriftEvent,
+    EngineTelemetry, FaultPlan, HealthConfig, HealthStatus, PoolTelemetry, RecalConfig, ShardPool,
 };
 use herqles_telemetry::{AlertEngine, ChromeTrace, MetricValue, Registry, SpanKind};
 use readout_sim::ChipConfig;
@@ -207,9 +206,7 @@ fn run_variant<R: Real>(
     registry: &Registry,
     pool: Option<&ShardPool>,
     sink: &mut TraceSink,
-) where
-    herqles_core::designs::MfDiscriminator: herqles_core::PrecisionDiscriminator<R>,
-{
+) {
     let cfg = CycleConfig {
         rounds: DISTANCE,
         data_error_prob: 4e-3,
@@ -262,13 +259,14 @@ fn run_variant<R: Real>(
 ///
 /// Panics unless the monitor detects the drift, a hot-swap re-baselines it
 /// to `Nominal`, at least one demo alert fires and every alert clears.
-fn run_drift<R: Real>(registry: &Registry, pool: Option<&ShardPool>, sink: &mut TraceSink) -> String
-where
-    AdaptiveMf: herqles_core::PrecisionDiscriminator<R>,
-{
+fn run_drift<R: Real>(
+    registry: &Registry,
+    pool: Option<&ShardPool>,
+    sink: &mut TraceSink,
+) -> String {
     let chip = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(3);
-    let mf = train_mf_discriminator_typed(&chip, SHOTS, SEED);
+    let mf = train_mf_discriminator(&chip, SHOTS, SEED);
     let adaptive = AdaptiveMf::from_mf(
         &mf,
         RecalConfig {
@@ -431,7 +429,7 @@ fn main() {
 
     let chip = ChipConfig::five_qubit_default();
     eprintln!("[bench_stream] training mf discriminator ({SHOTS} shots/state)…");
-    let disc = train_mf_discriminator_typed(&chip, SHOTS, SEED);
+    let disc = train_mf_discriminator(&chip, SHOTS, SEED);
     let code = RotatedSurfaceCode::new(DISTANCE);
 
     // One registry spans the telemetry and drift variants; each registers

@@ -1,8 +1,9 @@
 //! The discriminator designs compared in the paper (Table 1).
 //!
 //! Every design implements [`Discriminator`]: raw multiplexed ADC trace in,
-//! multi-qubit [`BasisState`] out. The designs differ in what happens between
-//! demodulation and the final decision:
+//! multi-qubit [`BasisState`] out, with its batched path written once for
+//! both pipeline precisions ([`PrecisionDiscriminator`]). The designs differ
+//! in what happens between demodulation and the final decision:
 //!
 //! | design | features | decision head | paper section |
 //! |---|---|---|---|
@@ -92,8 +93,15 @@ impl fmt::Display for DesignKind {
 
 /// A trained multi-qubit state discriminator.
 ///
-/// Implementations are `Send + Sync` so evaluation can be parallelized.
-pub trait Discriminator: Send + Sync {
+/// A design implements its batched path once, as
+/// [`PrecisionDiscriminator<R>`] for every pipeline precision `R`; both
+/// instantiations are supertraits, so a `dyn Discriminator` discriminates
+/// `f64` and `f32` batches (and drives a streaming engine at either
+/// precision). Implementations are `Send + Sync` so evaluation can be
+/// parallelized.
+pub trait Discriminator:
+    PrecisionDiscriminator<f64> + PrecisionDiscriminator<f32> + Send + Sync
+{
     /// The design's display name (Table 1 row label).
     fn name(&self) -> &str;
 
@@ -106,8 +114,7 @@ pub trait Discriminator: Send + Sync {
     /// Discriminates a batch of borrowed traces.
     ///
     /// When the traces share one length they are packed into a [`ShotBatch`]
-    /// and routed through [`Discriminator::discriminate_shot_batch`] — the
-    /// fused, allocation-free fast path every design overrides. Ragged
+    /// and routed through [`Discriminator::discriminate_shot_batch`]. Ragged
     /// batches fall back to the per-shot loop.
     fn discriminate_batch(&self, raws: &[&IqTrace]) -> Vec<BasisState> {
         match ShotBatch::try_from_traces(raws) {
@@ -116,42 +123,18 @@ pub trait Discriminator: Send + Sync {
         }
     }
 
-    /// Discriminates a packed [`ShotBatch`] (the inference hot path).
-    ///
-    /// The default materializes each shot and calls
-    /// [`Discriminator::discriminate`]; designs override it with fused
-    /// batched kernels that allocate nothing per shot. Duration-agnostic
-    /// designs fall back to the per-shot path when the batch length does not
-    /// match their trained readout window (e.g. truncated-duration batches);
-    /// designs welded to one duration (the baseline FNN, whose input layer
-    /// *is* the window) panic on mismatched batches exactly as their
-    /// [`Discriminator::discriminate`] does.
+    /// Discriminates a packed `f64` [`ShotBatch`] (the inference hot path)
+    /// into a fresh vector: the design's `PrecisionDiscriminator<f64>` path
+    /// with fresh buffers. Designs implement that path, not this wrapper.
     fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        (0..batch.n_shots())
-            .map(|s| self.discriminate(&batch.trace(s)))
-            .collect()
-    }
-
-    /// Discriminates a packed [`ShotBatch`] into caller-owned buffers — the
-    /// streaming hot path: `out` receives one state per shot and `scratch` is
-    /// a feature workspace, both reused across calls so warm steady-state
-    /// rounds allocate nothing.
-    ///
-    /// The default clears `out` and delegates to
-    /// [`Discriminator::discriminate_shot_batch`] (which allocates its own
-    /// result vector); designs with fused kernels override it to write their
-    /// feature rows through `scratch`, and the `mf` design's override
-    /// allocates nothing per call. Decisions are always identical to
-    /// [`Discriminator::discriminate_shot_batch`].
-    fn discriminate_shot_batch_into(
-        &self,
-        batch: &ShotBatch,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<BasisState>,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.discriminate_shot_batch(batch));
+        let mut out = Vec::new();
+        PrecisionDiscriminator::<f64>::discriminate_shot_batch_r_into(
+            self,
+            batch,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
     }
 
     /// Writes the per-qubit *soft margins* of one feature row into `out` and
@@ -167,8 +150,9 @@ pub trait Discriminator: Send + Sync {
     ///
     /// `features` is one shot's feature row exactly as produced by the
     /// design's batch path (`scratch` chunk of
-    /// [`Discriminator::discriminate_shot_batch_into`]); implementations must
-    /// return `false` rather than panic on a row of unexpected width.
+    /// [`PrecisionDiscriminator::discriminate_shot_batch_r_into`], widened to
+    /// `f64`); implementations must return `false` rather than panic on a row
+    /// of unexpected width.
     fn soft_margins(&self, features: &[f64], out: &mut [f64]) -> bool {
         let _ = (features, out);
         false
@@ -196,64 +180,39 @@ pub trait Discriminator: Send + Sync {
     }
 }
 
-/// Batched discrimination at an explicit pipeline precision `R` ([`Real`]).
+/// A design's batched discrimination at pipeline precision `R` ([`Real`]).
 ///
-/// [`Discriminator`]'s own batch methods are fixed at `f64` so the trait
-/// stays object-safe and every pre-generic call site (including
-/// `dyn Discriminator` pipelines) keeps its exact behavior. This companion
-/// trait carries the precision-generic entry points:
+/// Each design writes one `impl<R: Real>`: the fused designs (`mf`,
+/// `mf-svm`, `mf-nn` and their RMF variants) run the demod + filter GEMM at
+/// `R`, the strawman heads (`centroid`, `baseline`) demodulate or read the raw
+/// trace at `R` and widen to their trained `f64` heads. The `f64`
+/// instantiation is the double-precision reference path.
 ///
-/// * **`R = f64`** is blanket-implemented for *every* discriminator by
-///   delegating to the `f64` methods — a `ShotBatch<f64>` takes exactly the
-///   historical path, bit for bit.
-/// * **`R = f32`** is implemented per design; the fused-kernel designs
-///   (`mf`, `mf-svm`, `mf-nn` and their RMF variants) run the demod +
-///   filter GEMM at single precision, the strawman heads (`centroid`,
-///   `baseline`) demodulate at `f32` / widen to their trained `f64` heads.
-///
-/// The streaming [`CycleEngine`](https://docs.rs/herqles-stream)'s round loop
-/// is generic over this trait, which is what makes an end-to-end `f32`
-/// readout → syndrome → decode cycle possible.
-pub trait PrecisionDiscriminator<R: Real>: Discriminator {
-    /// Discriminates a packed `ShotBatch<R>` into caller-owned buffers (the
-    /// precision-generic mirror of
-    /// [`Discriminator::discriminate_shot_batch_into`]): `out` receives one
-    /// state per shot and `scratch` is a feature workspace at pipeline
-    /// precision, both reused across calls.
+/// [`Discriminator`] requires both instantiations; the streaming
+/// `CycleEngine` (crate `herqles-stream`) is generic over this trait, which is
+/// what makes an end-to-end `f32` readout → syndrome → decode cycle possible.
+/// Where both instantiations are in scope (a generic `D: Discriminator` or a
+/// trait object), call it by its qualified name,
+/// `PrecisionDiscriminator::<R>::discriminate_shot_batch_r_into(disc, …)`.
+pub trait PrecisionDiscriminator<R: Real> {
+    /// Discriminates a packed `ShotBatch<R>` into caller-owned buffers — the
+    /// streaming hot path: `out` is cleared and receives one state per shot,
+    /// and `scratch` is a feature workspace at pipeline precision, both
+    /// reused across calls so warm steady-state rounds of the `mf` design
+    /// allocate nothing. Fused designs leave `scratch` holding the feature
+    /// rows (empty when the batch took the per-shot fallback).
+    ///
+    /// Duration-agnostic designs fall back to the per-shot path when the
+    /// batch length does not match their trained readout window (e.g.
+    /// truncated-duration batches); designs welded to one duration (the
+    /// baseline FNN, whose input layer *is* the window) panic on mismatched
+    /// batches exactly as their [`Discriminator::discriminate`] does.
     fn discriminate_shot_batch_r_into(
         &self,
         batch: &ShotBatch<R>,
         scratch: &mut Vec<R>,
         out: &mut Vec<BasisState>,
     );
-
-    /// Discriminates a packed `ShotBatch<R>` (the precision-generic mirror
-    /// of [`Discriminator::discriminate_shot_batch`]).
-    fn discriminate_shot_batch_r(&self, batch: &ShotBatch<R>) -> Vec<BasisState> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.discriminate_shot_batch_r_into(batch, &mut scratch, &mut out);
-        out
-    }
-}
-
-/// Every discriminator handles `f64` batches through its ordinary
-/// [`Discriminator`] methods — including trait objects, so a
-/// `&dyn Discriminator` drives a default-precision streaming engine
-/// unchanged.
-impl<T: Discriminator + ?Sized> PrecisionDiscriminator<f64> for T {
-    fn discriminate_shot_batch_r_into(
-        &self,
-        batch: &ShotBatch,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.discriminate_shot_batch_into(batch, scratch, out);
-    }
-
-    fn discriminate_shot_batch_r(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        self.discriminate_shot_batch(batch)
-    }
 }
 
 #[cfg(test)]

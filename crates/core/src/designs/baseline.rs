@@ -7,6 +7,7 @@
 //! welded to one readout duration: its input layer *is* the duration, so
 //! [`Discriminator::discriminate_truncated`] returns `None`.
 
+use herqles_num::Real;
 use readout_nn::{Matrix, Mlp, Standardizer};
 use readout_sim::trace::{BasisState, IqTrace};
 use readout_sim::ShotBatch;
@@ -98,41 +99,21 @@ impl Discriminator for BaselineFnnDiscriminator {
         BasisState::new(self.net.predict(&self.features_of(raw)) as u32)
     }
 
-    fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        assert_eq!(
-            batch.n_samples(),
-            self.expected_samples,
-            "baseline FNN requires full-duration traces; retrain for other durations"
-        );
-        // A batch row already is the network's `[I…, Q…]` input vector:
-        // standardize the copied plane in place and run one forward pass.
-        let mut inputs = batch.as_slice().to_vec();
-        self.standardizer.transform_rows_inplace(&mut inputs);
-        let x = Matrix::from_vec(batch.n_shots(), batch.row_width(), inputs);
-        self.net
-            .predict_rows(&x)
-            .into_iter()
-            .map(|c| BasisState::new(c as u32))
-            .collect()
-    }
-
     // discriminate_truncated deliberately keeps the default `None`: the
     // baseline cannot shorten readout without retraining (paper §5.2).
 }
 
-impl PrecisionDiscriminator<f32> for BaselineFnnDiscriminator {
-    /// The baseline's input layer *is* the raw trace, and its network is
-    /// trained in `f64` — so an `f32` batch is widened wholesale before the
-    /// forward pass. There is no narrow-precision win to be had here; the
-    /// impl exists so every Table 1 design drives the precision-generic
-    /// streaming engine.
+impl<R: Real> PrecisionDiscriminator<R> for BaselineFnnDiscriminator {
+    /// A batch row already is the network's `[I…, Q…]` input vector: the
+    /// plane is copied (widened from `R` to the `f64` the network was
+    /// trained in), standardized in place and run through one forward pass.
+    /// There is no narrow-precision win to be had here; the `f32`
+    /// instantiation exists so every Table 1 design drives the
+    /// precision-generic streaming engine.
     fn discriminate_shot_batch_r_into(
         &self,
-        batch: &ShotBatch<f32>,
-        _scratch: &mut Vec<f32>,
+        batch: &ShotBatch<R>,
+        _scratch: &mut Vec<R>,
         out: &mut Vec<BasisState>,
     ) {
         out.clear();
@@ -144,7 +125,7 @@ impl PrecisionDiscriminator<f32> for BaselineFnnDiscriminator {
             self.expected_samples,
             "baseline FNN requires full-duration traces; retrain for other durations"
         );
-        let mut inputs: Vec<f64> = batch.as_slice().iter().map(|&v| f64::from(v)).collect();
+        let mut inputs: Vec<f64> = batch.as_slice().iter().map(|v| v.to_f64()).collect();
         self.standardizer.transform_rows_inplace(&mut inputs);
         let x = Matrix::from_vec(batch.n_shots(), batch.row_width(), inputs);
         out.extend(

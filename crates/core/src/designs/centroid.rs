@@ -1,6 +1,7 @@
 //! Per-qubit nearest-centroid discrimination on the mean trace value — the
 //! simple hardware discriminator cloud systems ship by default (paper §3.4).
 
+use herqles_num::Real;
 use readout_classifiers::CentroidClassifier;
 use readout_dsp::{BasebandBatch, Demodulator};
 use readout_sim::trace::{BasisState, IqTrace};
@@ -52,33 +53,6 @@ impl Discriminator for CentroidDiscriminator {
         state
     }
 
-    fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        // One batched demodulation for all shots; MTVs are means over the
-        // baseband bins, accumulated in the same order as `IqTrace::mtv` so
-        // batched and per-shot predictions agree exactly.
-        if batch.n_samples() < self.demod.samples_per_bin() {
-            // No full bin: the per-shot path's empty-trace MTV semantics.
-            return (0..batch.n_shots())
-                .map(|s| self.discriminate(&batch.trace(s)))
-                .collect();
-        }
-        let mut bb = BasebandBatch::new();
-        self.demod.demodulate_batch(batch, &mut bb);
-        let n = bb.n_bins() as f64;
-        (0..batch.n_shots())
-            .map(|s| {
-                let mut state = BasisState::new(0);
-                for (q, classifier) in self.per_qubit.iter().enumerate() {
-                    let si: f64 = bb.i_of(s, q).iter().sum();
-                    let sq: f64 = bb.q_of(s, q).iter().sum();
-                    let class = classifier.classify(&[si / n, sq / n]);
-                    state = state.with_qubit(q, class == 1);
-                }
-                state
-            })
-            .collect()
-    }
-
     fn discriminate_truncated(&self, raw: &IqTrace, bins: &[usize]) -> Option<BasisState> {
         let mut state = BasisState::new(0);
         for (q, classifier) in self.per_qubit.iter().enumerate() {
@@ -91,29 +65,32 @@ impl Discriminator for CentroidDiscriminator {
     }
 }
 
-impl PrecisionDiscriminator<f32> for CentroidDiscriminator {
-    /// Single-precision batched demodulation; MTV means accumulate in `f32`
-    /// and widen only for the two-point centroid comparison.
+impl<R: Real> PrecisionDiscriminator<R> for CentroidDiscriminator {
+    /// One batched demodulation at `R` for all shots. MTVs are means over the
+    /// baseband bins, accumulated in `R` in the same order as `IqTrace::mtv`
+    /// (so batched and per-shot `f64` predictions agree exactly) and widened
+    /// only for the two-point centroid comparison.
     fn discriminate_shot_batch_r_into(
         &self,
-        batch: &ShotBatch<f32>,
-        _scratch: &mut Vec<f32>,
+        batch: &ShotBatch<R>,
+        _scratch: &mut Vec<R>,
         out: &mut Vec<BasisState>,
     ) {
         out.clear();
         if batch.n_samples() < self.demod.samples_per_bin() {
+            // No full bin: the per-shot path's empty-trace MTV semantics.
             out.extend((0..batch.n_shots()).map(|s| self.discriminate(&batch.trace(s))));
             return;
         }
-        let mut bb = BasebandBatch::<f32>::new();
+        let mut bb = BasebandBatch::<R>::new();
         self.demod.demodulate_batch(batch, &mut bb);
         let n = bb.n_bins() as f64;
         out.extend((0..batch.n_shots()).map(|s| {
             let mut state = BasisState::new(0);
             for (q, classifier) in self.per_qubit.iter().enumerate() {
-                let si: f32 = bb.i_of(s, q).iter().sum();
-                let sq: f32 = bb.q_of(s, q).iter().sum();
-                let class = classifier.classify(&[f64::from(si) / n, f64::from(sq) / n]);
+                let si: R = bb.i_of(s, q).iter().sum();
+                let sq: R = bb.q_of(s, q).iter().sum();
+                let class = classifier.classify(&[si.to_f64() / n, sq.to_f64() / n]);
                 state = state.with_qubit(q, class == 1);
             }
             state

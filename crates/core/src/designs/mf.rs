@@ -90,11 +90,11 @@ impl FeatureHead for MfDiscriminator {
     }
 }
 
-impl PrecisionDiscriminator<f32> for MfDiscriminator {
+impl<R: Real> PrecisionDiscriminator<R> for MfDiscriminator {
     fn discriminate_shot_batch_r_into(
         &self,
-        batch: &ShotBatch<f32>,
-        scratch: &mut Vec<f32>,
+        batch: &ShotBatch<R>,
+        scratch: &mut Vec<R>,
         out: &mut Vec<BasisState>,
     ) {
         self.front.classify_batch_into(self, batch, scratch, out);
@@ -112,19 +112,6 @@ impl Discriminator for MfDiscriminator {
 
     fn discriminate(&self, raw: &IqTrace) -> BasisState {
         self.front.classify(self, raw, None)
-    }
-
-    fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        self.front.classify_batch(self, batch)
-    }
-
-    fn discriminate_shot_batch_into(
-        &self,
-        batch: &ShotBatch,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.front.classify_batch_into(self, batch, scratch, out);
     }
 
     fn soft_margins(&self, features: &[f64], out: &mut [f64]) -> bool {

@@ -102,6 +102,17 @@ impl FeatureHead for NnDiscriminator {
     }
 }
 
+impl<R: Real> PrecisionDiscriminator<R> for NnDiscriminator {
+    fn discriminate_shot_batch_r_into(
+        &self,
+        batch: &ShotBatch<R>,
+        scratch: &mut Vec<R>,
+        out: &mut Vec<BasisState>,
+    ) {
+        self.front.classify_batch_into(self, batch, scratch, out);
+    }
+}
+
 impl Discriminator for NnDiscriminator {
     fn name(&self) -> &str {
         self.name
@@ -115,19 +126,6 @@ impl Discriminator for NnDiscriminator {
         self.front.classify(self, raw, None)
     }
 
-    fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        self.front.classify_batch(self, batch)
-    }
-
-    fn discriminate_shot_batch_into(
-        &self,
-        batch: &ShotBatch,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.front.classify_batch_into(self, batch, scratch, out);
-    }
-
     fn discriminate_truncated(&self, raw: &IqTrace, bins: &[usize]) -> Option<BasisState> {
         Some(self.front.classify(self, raw, Some(bins)))
     }
@@ -138,17 +136,6 @@ impl Discriminator for NnDiscriminator {
         bins: &[usize],
     ) -> Option<Vec<BasisState>> {
         Some(self.front.classify_truncated_batch(self, raws, bins))
-    }
-}
-
-impl PrecisionDiscriminator<f32> for NnDiscriminator {
-    fn discriminate_shot_batch_r_into(
-        &self,
-        batch: &ShotBatch<f32>,
-        scratch: &mut Vec<f32>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.front.classify_batch_into(self, batch, scratch, out);
     }
 }
 

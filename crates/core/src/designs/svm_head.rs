@@ -81,6 +81,17 @@ impl FeatureHead for SvmDiscriminator {
     }
 }
 
+impl<R: Real> PrecisionDiscriminator<R> for SvmDiscriminator {
+    fn discriminate_shot_batch_r_into(
+        &self,
+        batch: &ShotBatch<R>,
+        scratch: &mut Vec<R>,
+        out: &mut Vec<BasisState>,
+    ) {
+        self.front.classify_batch_into(self, batch, scratch, out);
+    }
+}
+
 impl Discriminator for SvmDiscriminator {
     fn name(&self) -> &str {
         self.name
@@ -94,19 +105,6 @@ impl Discriminator for SvmDiscriminator {
         self.front.classify(self, raw, None)
     }
 
-    fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        self.front.classify_batch(self, batch)
-    }
-
-    fn discriminate_shot_batch_into(
-        &self,
-        batch: &ShotBatch,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.front.classify_batch_into(self, batch, scratch, out);
-    }
-
     fn discriminate_truncated(&self, raw: &IqTrace, bins: &[usize]) -> Option<BasisState> {
         Some(self.front.classify(self, raw, Some(bins)))
     }
@@ -117,17 +115,6 @@ impl Discriminator for SvmDiscriminator {
         bins: &[usize],
     ) -> Option<Vec<BasisState>> {
         Some(self.front.classify_truncated_batch(self, raws, bins))
-    }
-}
-
-impl PrecisionDiscriminator<f32> for SvmDiscriminator {
-    fn discriminate_shot_batch_r_into(
-        &self,
-        batch: &ShotBatch<f32>,
-        scratch: &mut Vec<f32>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.front.classify_batch_into(self, batch, scratch, out);
     }
 }
 

@@ -310,17 +310,6 @@ impl FilterFrontEnd {
         }
     }
 
-    /// [`FilterFrontEnd::classify_batch_into`] with fresh buffers.
-    pub(crate) fn classify_batch(
-        &self,
-        head: &impl FeatureHead,
-        batch: &ShotBatch,
-    ) -> Vec<BasisState> {
-        let mut out = Vec::new();
-        self.classify_batch_into(head, batch, &mut Vec::new(), &mut out);
-        out
-    }
-
     /// Classifies `raws` under per-qubit bin budgets through `head`.
     /// Full-window batches go through the cached per-duration kernel (one
     /// GEMM); ragged or shortened traces walk per shot.

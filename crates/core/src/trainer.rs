@@ -286,8 +286,7 @@ impl<'a> ReadoutTrainer<'a> {
     }
 
     /// Trains the `centroid` design with its concrete type (the typed
-    /// counterpart of [`ReadoutTrainer::train`], for callers that need the
-    /// precision-generic `f32` batch paths only concrete designs expose).
+    /// counterpart of [`ReadoutTrainer::train`]).
     pub fn train_centroid(&mut self) -> CentroidDiscriminator {
         let n = self.n_qubits();
         let mut per_qubit = Vec::with_capacity(n);

@@ -11,7 +11,9 @@
 
 use herqles_core::designs::DesignKind;
 use herqles_core::trainer::{ReadoutTrainer, TrainerConfig};
-use herqles_core::{evaluate, Discriminator, FilterBank, FusedFilterKernel};
+use herqles_core::{
+    evaluate, Discriminator, FilterBank, FusedFilterKernel, PrecisionDiscriminator,
+};
 use readout_dsp::Demodulator;
 use readout_nn::net::TrainConfig;
 use readout_sim::trace::IqTrace;
@@ -70,7 +72,12 @@ fn buffered_batch_discrimination_matches_allocating_path_for_every_design() {
         // Run twice through the same warm buffers: results must be stable
         // and identical to the allocating entry point.
         for _ in 0..2 {
-            disc.discriminate_shot_batch_into(&batch, &mut scratch, &mut out);
+            PrecisionDiscriminator::<f64>::discriminate_shot_batch_r_into(
+                disc.as_ref(),
+                &batch,
+                &mut scratch,
+                &mut out,
+            );
             assert_eq!(out, reference, "{} diverges through buffers", disc.name());
         }
     }

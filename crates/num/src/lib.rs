@@ -22,6 +22,7 @@
 //! pipeline precision.
 
 use std::fmt::{Debug, Display};
+use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::{Random, Rng};
@@ -70,6 +71,7 @@ pub trait Real:
     + SubAssign
     + MulAssign
     + DivAssign
+    + for<'a> Sum<&'a Self>
     + Random
 {
     /// Additive identity.

@@ -552,13 +552,16 @@ impl BlockDecoder<'_> {
 /// feedline chip, and one trained discriminator.
 ///
 /// Generic over the pipeline precision `R` ([`Real`], default `f64`) and the
-/// discriminator type `D`. The defaults make `CycleEngine::new(cfg, &chip,
-/// &code, &dyn_disc)` mean exactly what it always did — a double-precision
-/// engine behind a `&dyn Discriminator`, bit-identical to the offline
-/// reference. Instantiating with `R = f32` and a concrete fused design (e.g.
-/// `CycleEngine::<f32, _>::new(cfg, &chip, &code, &mf)`) runs the whole
-/// readout → syndrome → decode round — waveform synthesis included — in
-/// single precision, with the same zero-allocation steady state.
+/// discriminator type `D`: a concrete design or, by default,
+/// `dyn Discriminator`. Every discriminator runs at both precisions, so a
+/// constructor names the precision. `CycleEngine::<f64>::new(cfg, &chip,
+/// &code, &disc)` is the double-precision engine behind a
+/// `&dyn Discriminator`, bit-identical to the offline reference;
+/// `CycleEngine::<f64, _>` keeps the concrete type (which
+/// [`CycleEngine::run_cycle_adaptive`] needs); `CycleEngine::<f32>` runs the
+/// whole readout → syndrome → decode round — waveform synthesis included —
+/// in single precision, with the same zero-allocation steady state for the
+/// `mf` design.
 pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     cfg: CycleConfig,
     disc: &'a D,
@@ -595,7 +598,7 @@ pub struct CycleEngine<'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     telem: EngineTelemetry,
 }
 
-impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
+impl<'a, R: Real, D: ?Sized + Discriminator + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     /// Builds an engine on a process-wide 1-thread [`ShardPool`], which
     /// spawns no thread: every synthesis task and consume step runs inline
     /// on the caller.
@@ -1108,7 +1111,9 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R>> CycleEngine<'a, R, D> {
     }
 }
 
-impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R> + Recalibrate> CycleEngine<'a, R, D> {
+impl<'a, R: Real, D: ?Sized + Discriminator + PrecisionDiscriminator<R> + Recalibrate>
+    CycleEngine<'a, R, D>
+{
     /// [`CycleEngine::run_cycle`] with the detect → recover loop closed:
     /// when the [`HealthMonitor`] reports Degraded or Critical, the
     /// discriminator has harvested enough windows
@@ -1160,7 +1165,7 @@ impl<'a, R: Real, D: ?Sized + PrecisionDiscriminator<R> + Recalibrate> CycleEngi
 /// `batch`, measured-syndrome commit, the health observation, and the
 /// sliding-window advance. Returns the stage time it spent.
 #[allow(clippy::too_many_arguments)]
-fn consume_round<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
+fn consume_round<R: Real, D: ?Sized + Discriminator + PrecisionDiscriminator<R>>(
     disc: &D,
     map: &AncillaMap,
     batch: &ShotBatch<R>,
@@ -1172,7 +1177,12 @@ fn consume_round<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
 ) -> StageNanos {
     let round = sim.round() as u64;
     let mut timer = StageTimer::start();
-    disc.discriminate_shot_batch_r_into(batch, &mut scratch.features, &mut scratch.states);
+    PrecisionDiscriminator::<R>::discriminate_shot_batch_r_into(
+        disc,
+        batch,
+        &mut scratch.features,
+        &mut scratch.states,
+    );
     let (disc_begin, disc_ns) = timer.lap_span_ns();
     for (a, m) in scratch.measured.iter_mut().enumerate() {
         let (g, c) = map.slot(a);
@@ -1198,7 +1208,7 @@ fn consume_round<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
 /// signal), and folds the mean plus the measured syndrome into the
 /// [`HealthMonitor`]. Allocation-free once the feature-row buffer has its
 /// warm size.
-fn observe_round_health<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
+fn observe_round_health<R: Real, D: ?Sized + Discriminator>(
     disc: &D,
     map: &AncillaMap,
     health: &mut HealthState,
@@ -1254,7 +1264,9 @@ pub struct Cycles<'e, 'a, R: Real = f64, D: ?Sized = dyn Discriminator + 'a> {
     engine: &'e mut CycleEngine<'a, R, D>,
 }
 
-impl<R: Real, D: ?Sized + PrecisionDiscriminator<R>> Iterator for Cycles<'_, '_, R, D> {
+impl<R: Real, D: ?Sized + Discriminator + PrecisionDiscriminator<R>> Iterator
+    for Cycles<'_, '_, R, D>
+{
     type Item = CycleResult;
 
     fn next(&mut self) -> Option<CycleResult> {
@@ -1266,8 +1278,9 @@ impl<R: Real, D: ?Sized + PrecisionDiscriminator<R>> Iterator for Cycles<'_, '_,
 mod tests {
     use super::*;
     use crate::train_mf_discriminator;
+    use herqles_core::designs::MfDiscriminator;
 
-    fn setup() -> (ChipConfig, RotatedSurfaceCode, Box<dyn Discriminator>) {
+    fn setup() -> (ChipConfig, RotatedSurfaceCode, MfDiscriminator) {
         let chip = ChipConfig::two_qubit_test();
         let code = RotatedSurfaceCode::new(3);
         let disc = train_mf_discriminator(&chip, 12, 77);
@@ -1283,7 +1296,7 @@ mod tests {
             seed: 5,
         };
         let run = || {
-            let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+            let mut engine = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
             let results = engine.run_cycles(4);
             let block = engine.last_block().clone();
             (results, block)
@@ -1306,8 +1319,8 @@ mod tests {
             data_error_prob: 0.02,
             seed: 9,
         };
-        let mut a = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
-        let mut b = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+        let mut a = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
+        let mut b = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
         let blocking: Vec<DecodeOutcome> = a.run_cycles(5).iter().map(|r| r.outcome).collect();
         let pulled: Vec<DecodeOutcome> = b.cycles().take(5).map(|r| r.outcome).collect();
         assert_eq!(blocking, pulled);
@@ -1325,7 +1338,7 @@ mod tests {
             data_error_prob: 0.002,
             seed: 21,
         };
-        let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+        let mut engine = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
         let failures = engine
             .run_cycles(30)
             .iter()
@@ -1342,7 +1355,7 @@ mod tests {
             data_error_prob: 0.01,
             seed: 1,
         };
-        let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+        let mut engine = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
         let r = engine.run_cycle();
         assert!(r.stats.stage.synth > 0);
         assert!(r.stats.stage.discriminate > 0);
@@ -1356,6 +1369,6 @@ mod tests {
         let (_, code, disc) = setup();
         let five = ChipConfig::five_qubit_default();
         let cfg = CycleConfig::for_distance(3);
-        let _ = CycleEngine::new(cfg, &five, &code, disc.as_ref());
+        let _ = CycleEngine::<f64>::new(cfg, &five, &code, &disc);
     }
 }

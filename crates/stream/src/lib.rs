@@ -27,7 +27,9 @@
 //!   (round, feedline group) row on the [`RoundSynth`] of the thread running
 //!   it, while the caller runs round `t`'s discriminate → syndrome →
 //!   window-decode step as soon as its rows are in. Bit-identical at every
-//!   pool size; pool dispatch adds no allocation;
+//!   pool size; pool dispatch adds no allocation. Any discriminator, a
+//!   concrete design or a `&dyn Discriminator`, streams at either pipeline
+//!   precision (`CycleEngine::<f64>` / `CycleEngine::<f32>`);
 //! * [`RoundSynth`] — re-exported from `readout_sim`: the one readout
 //!   synthesizer, which also generates the calibration [`Dataset`]s the
 //!   discriminators train on, writing each round's multiplexed feedline
@@ -53,7 +55,7 @@
 //!     data_error_prob: 0.01,
 //!     seed: 7,
 //! };
-//! let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+//! let mut engine = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
 //! for result in engine.cycles().take(3) {
 //!     assert_eq!(result.stats.rounds, 3);
 //! }
@@ -77,39 +79,21 @@ pub use readout_sim::{DriftEvent, FaultPlan, RoundFaults, RoundSynth};
 pub use recal::{AdaptiveMf, RecalConfig, Recalibrate};
 pub use telemetry::{demo_alert_rules, EngineTelemetry, LatencySummary, StageLatency};
 
-use herqles_core::designs::DesignKind;
 use herqles_core::designs::MfDiscriminator;
-use herqles_core::{Discriminator, ReadoutTrainer};
+use herqles_core::ReadoutTrainer;
 use readout_sim::{ChipConfig, Dataset};
 
 pub use herqles_core::{PrecisionDiscriminator, Real};
 
 /// Trains the `mf` discriminator (the engine's default workhorse: fused
-/// demod + matched-filter GEMM, zero-allocation batch override) on a
-/// synthetic calibration dataset of `shots_per_state` shots per basis state.
+/// demod + matched-filter GEMM, allocation-free batch path) on a synthetic
+/// calibration dataset of `shots_per_state` shots per basis state.
 ///
 /// Convenience for examples, benches and tests; production callers train via
 /// [`herqles_core::ReadoutTrainer`] directly and can pass any design to
-/// [`CycleEngine::new`].
+/// [`CycleEngine::new`], concrete or as a `&dyn Discriminator`, at either
+/// pipeline precision.
 pub fn train_mf_discriminator(
-    chip: &ChipConfig,
-    shots_per_state: usize,
-    seed: u64,
-) -> Box<dyn Discriminator> {
-    let dataset = Dataset::generate(chip, shots_per_state, seed);
-    let split = dataset.split(0.5, 0.0, seed ^ 0xA5A5);
-    let mut trainer = ReadoutTrainer::new(&dataset, &split.train);
-    trainer.train(DesignKind::Mf)
-}
-
-/// Like [`train_mf_discriminator`] but with the concrete
-/// [`MfDiscriminator`] type, for callers that want a non-default pipeline
-/// precision: a `&dyn Discriminator` only drives `CycleEngine<f64>`, while a
-/// concrete design implements `PrecisionDiscriminator<f32>` and can power
-/// `CycleEngine::<f32, _>::new(cfg, &chip, &code, &disc)`. Trained on the
-/// same calibration dataset and split as the type-erased variant, so the two
-/// produce identical discriminators.
-pub fn train_mf_discriminator_typed(
     chip: &ChipConfig,
     shots_per_state: usize,
     seed: u64,

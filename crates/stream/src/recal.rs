@@ -191,8 +191,8 @@ impl Default for RecalConfig {
 /// published [`MfDiscriminator`]'s batch hot path, plus window harvesting and
 /// [`Recalibrate::recalibrate`].
 ///
-/// Implements [`Discriminator`] (and `PrecisionDiscriminator<f32>`), so it
-/// drives a `CycleEngine` at either pipeline precision.
+/// Implements [`Discriminator`], so it drives a `CycleEngine` at either
+/// pipeline precision.
 #[derive(Debug)]
 pub struct AdaptiveMf {
     cfg: RecalConfig,
@@ -220,21 +220,6 @@ impl AdaptiveMf {
     /// The live per-qubit decision thresholds (snapshot).
     pub fn thresholds(&self) -> Vec<ThresholdDiscriminator> {
         self.slot.load().thresholds().to_vec()
-    }
-
-    /// The live discriminator's batch path at any pipeline precision, plus
-    /// harvesting.
-    fn batch_into_r<R: Real>(
-        &self,
-        batch: &ShotBatch<R>,
-        scratch: &mut Vec<R>,
-        out: &mut Vec<BasisState>,
-    ) where
-        MfDiscriminator: PrecisionDiscriminator<R>,
-    {
-        let mf = self.slot.load();
-        mf.discriminate_shot_batch_r_into(batch, scratch, out);
-        self.harvest(&mf, batch, scratch, out);
     }
 
     /// Updates the per-qubit margin scales and copies confident windows into
@@ -266,6 +251,21 @@ impl AdaptiveMf {
     }
 }
 
+/// The live discriminator's batch path at any pipeline precision, plus
+/// harvesting.
+impl<R: Real> PrecisionDiscriminator<R> for AdaptiveMf {
+    fn discriminate_shot_batch_r_into(
+        &self,
+        batch: &ShotBatch<R>,
+        scratch: &mut Vec<R>,
+        out: &mut Vec<BasisState>,
+    ) {
+        let mf = self.slot.load();
+        mf.discriminate_shot_batch_r_into(batch, scratch, out);
+        self.harvest(&mf, batch, scratch, out);
+    }
+}
+
 impl Discriminator for AdaptiveMf {
     fn name(&self) -> &str {
         "mf-adaptive"
@@ -279,35 +279,8 @@ impl Discriminator for AdaptiveMf {
         self.slot.load().discriminate(raw)
     }
 
-    fn discriminate_shot_batch(&self, batch: &ShotBatch) -> Vec<BasisState> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.discriminate_shot_batch_into(batch, &mut scratch, &mut out);
-        out
-    }
-
-    fn discriminate_shot_batch_into(
-        &self,
-        batch: &ShotBatch,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.batch_into_r(batch, scratch, out);
-    }
-
     fn soft_margins(&self, features: &[f64], out: &mut [f64]) -> bool {
         self.slot.load().soft_margins(features, out)
-    }
-}
-
-impl PrecisionDiscriminator<f32> for AdaptiveMf {
-    fn discriminate_shot_batch_r_into(
-        &self,
-        batch: &ShotBatch<f32>,
-        scratch: &mut Vec<f32>,
-        out: &mut Vec<BasisState>,
-    ) {
-        self.batch_into_r(batch, scratch, out);
     }
 }
 
@@ -440,7 +413,7 @@ impl Recalibrate for AdaptiveMf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train_mf_discriminator_typed;
+    use crate::train_mf_discriminator;
     use readout_sim::{ChipConfig, Dataset};
 
     #[test]
@@ -471,7 +444,7 @@ mod tests {
     #[test]
     fn adaptive_mf_matches_wrapped_mf_before_any_swap() {
         let chip = ChipConfig::two_qubit_test();
-        let mf = train_mf_discriminator_typed(&chip, 12, 99);
+        let mf = train_mf_discriminator(&chip, 12, 99);
         let adaptive = AdaptiveMf::from_mf(&mf, RecalConfig::default());
         let ds = Dataset::generate(&chip, 16, 1234);
         for shot in &ds.shots {
@@ -500,11 +473,11 @@ mod tests {
     /// Runs `ds` through both designs' buffered batch path at precision `R`,
     /// asserts identical labels and bit-identical feature rows, and returns
     /// the feature rows widened to `f64`.
-    fn batch_parity<R: Real>(adaptive: &AdaptiveMf, mf: &MfDiscriminator, ds: &Dataset) -> Vec<f64>
-    where
-        AdaptiveMf: PrecisionDiscriminator<R>,
-        MfDiscriminator: PrecisionDiscriminator<R>,
-    {
+    fn batch_parity<R: Real>(
+        adaptive: &AdaptiveMf,
+        mf: &MfDiscriminator,
+        ds: &Dataset,
+    ) -> Vec<f64> {
         let batch: ShotBatch<R> = ShotBatch::from_shots(&ds.shots);
         let (mut adaptive_rows, mut adaptive_out) = (Vec::new(), Vec::new());
         let (mut mf_rows, mut mf_out) = (Vec::new(), Vec::new());
@@ -537,7 +510,7 @@ mod tests {
     #[test]
     fn harvesting_fills_the_ring_and_retrain_swaps_a_generation() {
         let chip = ChipConfig::two_qubit_test();
-        let mf = train_mf_discriminator_typed(&chip, 12, 99);
+        let mf = train_mf_discriminator(&chip, 12, 99);
         let cfg = RecalConfig {
             min_windows: 8,
             ..RecalConfig::default()
@@ -550,7 +523,7 @@ mod tests {
         }
         let mut scratch = Vec::new();
         let mut out = Vec::new();
-        adaptive.discriminate_shot_batch_into(&batch, &mut scratch, &mut out);
+        adaptive.discriminate_shot_batch_r_into(&batch, &mut scratch, &mut out);
         assert!(adaptive.buffered_windows() > 0, "confident shots harvested");
         assert!(adaptive.recal_ready());
         let generation = adaptive.recalibrate().expect("enough data to retrain");

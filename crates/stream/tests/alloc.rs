@@ -15,9 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use herqles_core::Discriminator;
 use herqles_stream::{
-    train_mf_discriminator, train_mf_discriminator_typed, AdaptiveMf, CycleConfig, CycleEngine,
-    DriftEvent, EngineTelemetry, FaultPlan, PoolTelemetry, RecalConfig, ShardPool,
+    train_mf_discriminator, AdaptiveMf, CycleConfig, CycleEngine, DriftEvent, EngineTelemetry,
+    FaultPlan, PoolTelemetry, RecalConfig, ShardPool,
 };
 use herqles_telemetry::Registry;
 use readout_sim::trace::IqPoint;
@@ -82,7 +83,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // cycles size every buffer (the cycle-wide batch is sized at
     // construction, and the event store is pre-reserved to its hard upper
     // bound, so later rounds cannot outgrow it).
-    let mut serial = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+    let mut serial = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
     let _ = serial.run_cycle();
     let _ = serial.run_cycle();
     let serial_cycle_allocs = min_allocs_over(3, || {
@@ -97,8 +98,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // `CycleEngine<f32>` cycle (f32 synthesis → f32 fused GEMM → thresholds
     // → syndrome commit → decode) must not touch the heap either. Probed in
     // this same test because the counting allocator is process-global.
-    let disc32 = train_mf_discriminator_typed(&chip, 8, 1234);
-    let mut engine32 = CycleEngine::<f32, _>::new(cfg, &chip, &code, &disc32);
+    let mut engine32 = CycleEngine::<f32, _>::new(cfg, &chip, &code, &disc);
     let _ = engine32.run_cycle();
     let _ = engine32.run_cycle();
     let f32_cycle_allocs = min_allocs_over(3, || {
@@ -107,6 +107,19 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     assert_eq!(
         f32_cycle_allocs, 0,
         "warm whole f32 cycles must not touch the heap"
+    );
+    // The same f32 cycle through a trait object: `dyn Discriminator`
+    // dispatches to the design's one batch path, allocation-free.
+    let dyn_disc: &dyn Discriminator = &disc;
+    let mut dyn_engine32 = CycleEngine::<f32, _>::new(cfg, &chip, &code, dyn_disc);
+    let _ = dyn_engine32.run_cycle();
+    let _ = dyn_engine32.run_cycle();
+    let dyn_f32_cycle_allocs = min_allocs_over(3, || {
+        let _ = dyn_engine32.run_cycle();
+    });
+    assert_eq!(
+        dyn_f32_cycle_allocs, 0,
+        "warm whole f32 cycles through a dyn Discriminator must not touch the heap"
     );
 
     // The pooled engine carries the invariant across the fan-out: job
@@ -125,7 +138,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         // runtime initialization inside the probed window; warm_up forces
         // every thread through one full task first.
         pool.warm_up();
-        let mut pooled = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), pool);
+        let mut pooled = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, pool);
         let _ = pooled.run_cycle();
         let _ = pooled.run_cycle();
         let pooled_cycle_allocs = min_allocs_over(3, || {
@@ -142,7 +155,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // in the same per-channel scratch, and the health monitor's round
     // observation runs through fixed buffers. The plan below holds every
     // fault kind at full strength for the entire probed window.
-    let mut faulted = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+    let mut faulted = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
     faulted.set_fault_plan(FaultPlan::new(vec![
         DriftEvent::CentroidDrift {
             qubit: 0,
@@ -177,8 +190,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // load, fused GEMM, margin computation, confident-window harvest into
     // the fixed ring — is allocation-free too (the *retrain* is the
     // control-plane exception and runs outside this probe).
-    let mf = train_mf_discriminator_typed(&chip, 8, 1234);
-    let adaptive = AdaptiveMf::from_mf(&mf, RecalConfig::default());
+    let adaptive = AdaptiveMf::from_mf(&disc, RecalConfig::default());
     let mut adaptive_engine = CycleEngine::<f64, _>::new(cfg, &chip, &code, &adaptive);
     let _ = adaptive_engine.run_cycle();
     let _ = adaptive_engine.run_cycle();
@@ -206,7 +218,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // be allocation-free.
     let pool_telem = Arc::new(PoolTelemetry::new(pool.threads()));
     pool.set_telemetry(Some(Arc::clone(&pool_telem)));
-    let mut instrumented = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+    let mut instrumented = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, &pool);
     let _ = instrumented.run_cycle();
     let _ = instrumented.run_cycle();
     let instrumented_cycle_allocs = min_allocs_over(3, || {
@@ -240,7 +252,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         }
         for backend in backends {
             select_kernel(backend).expect("backend known selectable");
-            let mut serial_b = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+            let mut serial_b = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
             let _ = serial_b.run_cycle();
             let _ = serial_b.run_cycle();
             let allocs = min_allocs_over(3, || {
@@ -250,7 +262,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
                 allocs, 0,
                 "warm serial cycles on the {backend:?} backend must not touch the heap"
             );
-            let mut pooled_b = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+            let mut pooled_b = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, &pool);
             let _ = pooled_b.run_cycle();
             let _ = pooled_b.run_cycle();
             let allocs = min_allocs_over(3, || {
@@ -269,7 +281,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // registered histograms/counters must stay heap-free, and so must a
     // stage-latency read.
     let registry = Registry::new();
-    let mut registered = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+    let mut registered = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
     registered.set_telemetry(EngineTelemetry::registered(
         &registry.scope(&[("engine", "alloc-pin")]),
     ));
@@ -302,7 +314,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         data_error_prob: 0.06,
         seed: 17,
     };
-    let mut dense = CycleEngine::new(dense_cfg, &chip, &code, disc.as_ref());
+    let mut dense = CycleEngine::<f64>::new(dense_cfg, &chip, &code, &disc);
     dense.set_fault_plan(FaultPlan::new(vec![DriftEvent::SigmaScale {
         start_round: 0,
         end_round: 0,
@@ -362,7 +374,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // commits confined clusters behind the lag — all against the pre-sized
     // window scratch. Serial and pooled (where the window advance overlaps
     // later rounds' synthesis).
-    let mut windowed = CycleEngine::new(dense_cfg, &chip, &code, disc.as_ref());
+    let mut windowed = CycleEngine::<f64>::new(dense_cfg, &chip, &code, &disc);
     windowed.set_sliding_window(3);
     let _ = windowed.run_cycle();
     let _ = windowed.run_cycle();
@@ -374,7 +386,7 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
         "warm sliding-window cycles must not touch the heap"
     );
 
-    let mut windowed_pooled = CycleEngine::with_pool(dense_cfg, &chip, &code, disc.as_ref(), &pool);
+    let mut windowed_pooled = CycleEngine::<f64>::with_pool(dense_cfg, &chip, &code, &disc, &pool);
     windowed_pooled.set_sliding_window(3);
     let _ = windowed_pooled.run_cycle();
     let _ = windowed_pooled.run_cycle();
@@ -389,9 +401,8 @@ fn warm_engine_rounds_perform_zero_heap_allocations() {
     // Async decode offload: a warm cycle that decodes the previous block
     // in its fan-out prelude (alongside the synthesis tasks) must be
     // allocation-free too. Serial and pooled.
-    let mut offloaded = CycleEngine::new(dense_cfg, &chip, &code, disc.as_ref());
-    let mut offloaded_pooled =
-        CycleEngine::with_pool(dense_cfg, &chip, &code, disc.as_ref(), &pool);
+    let mut offloaded = CycleEngine::<f64>::new(dense_cfg, &chip, &code, &disc);
+    let mut offloaded_pooled = CycleEngine::<f64>::with_pool(dense_cfg, &chip, &code, &disc, &pool);
     for (engine, name) in [
         (&mut offloaded, "serial"),
         (&mut offloaded_pooled, "pooled"),

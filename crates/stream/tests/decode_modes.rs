@@ -21,7 +21,7 @@ fn reference_outcomes(
     code: &RotatedSurfaceCode,
     disc: &dyn herqles_core::Discriminator,
 ) -> Vec<DecodeOutcome> {
-    let mut engine = CycleEngine::new(cfg, chip, code, disc);
+    let mut engine = CycleEngine::<f64>::new(cfg, chip, code, disc);
     (0..CYCLES).map(|_| engine.run_cycle().outcome).collect()
 }
 
@@ -36,10 +36,10 @@ fn sliding_window_engine_matches_whole_block_outcomes() {
             data_error_prob: p,
             seed: 7100 + d as u64,
         };
-        let reference = reference_outcomes(cfg, &chip, &code, disc.as_ref());
+        let reference = reference_outcomes(cfg, &chip, &code, &disc);
 
         // Serial engine, sliding-window decode.
-        let mut windowed = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+        let mut windowed = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
         windowed.set_sliding_window(lag);
         for (i, expected) in reference.iter().enumerate() {
             let got = windowed.run_cycle().outcome;
@@ -51,7 +51,7 @@ fn sliding_window_engine_matches_whole_block_outcomes() {
 
         // Pooled engine, sliding-window decode overlapped with synthesis.
         let pool = ShardPool::new(3);
-        let mut pooled = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+        let mut pooled = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, &pool);
         pooled.set_sliding_window(lag);
         for (i, expected) in reference.iter().enumerate() {
             let got = pooled.run_cycle().outcome;
@@ -78,7 +78,7 @@ fn sliding_window_commits_decode_work_ahead_of_block_end() {
         data_error_prob: 0.02,
         seed: 91,
     };
-    let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+    let mut engine = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
     engine.set_sliding_window(3);
     let mut events = 0usize;
     for _ in 0..CYCLES {
@@ -100,12 +100,12 @@ fn async_offload_outcome_sequence_matches_serial_shifted_by_one() {
         data_error_prob: 0.012,
         seed: 4242,
     };
-    let reference = reference_outcomes(cfg, &chip, &code, disc.as_ref());
+    let reference = reference_outcomes(cfg, &chip, &code, &disc);
 
     // Offload on the inline 1-thread pool and on a 3-thread pool.
     let pool = ShardPool::new(3);
-    let serial = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
-    let pooled = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+    let serial = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
+    let pooled = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, &pool);
     for (name, mut engine) in [("serial", serial), ("pooled", pooled)] {
         engine.set_async_decode(true);
         let mut shifted = Vec::new();
@@ -140,14 +140,14 @@ fn async_offload_totals_count_each_block_exactly_once() {
         data_error_prob: 0.03,
         seed: 8,
     };
-    let mut serial = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+    let mut serial = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
     for _ in 0..CYCLES {
         serial.run_cycle();
     }
     let expected = serial.stats().logical_errors;
 
     let pool = ShardPool::new(2);
-    let mut engine = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+    let mut engine = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, &pool);
     engine.set_async_decode(true);
     for _ in 0..CYCLES {
         engine.run_cycle();
@@ -172,7 +172,7 @@ fn sliding_window_refuses_async_engine() {
         seed: 1,
     };
     let pool = ShardPool::new(2);
-    let mut engine = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+    let mut engine = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, &pool);
     engine.set_async_decode(true);
     engine.set_sliding_window(2);
 }

@@ -6,10 +6,9 @@
 //! leaking into results, or pipeline reordering of the syndrome commits
 //! fails these tests.
 
-use herqles_core::PrecisionDiscriminator;
+use herqles_core::designs::MfDiscriminator;
 use herqles_stream::{
-    train_mf_discriminator, train_mf_discriminator_typed, CycleConfig, CycleEngine, DriftEvent,
-    FaultPlan, Real, ShardPool,
+    train_mf_discriminator, CycleConfig, CycleEngine, DriftEvent, FaultPlan, Real, ShardPool,
 };
 use readout_sim::trace::IqPoint;
 use readout_sim::ChipConfig;
@@ -17,30 +16,24 @@ use surface_code::{RotatedSurfaceCode, SyndromeBlock};
 
 const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
-fn assert_pooled_matches_serial<R, D>(
+fn assert_pooled_matches_serial<R: Real>(
     cfg: CycleConfig,
     chip: &ChipConfig,
     code: &RotatedSurfaceCode,
-    disc: &D,
+    disc: &MfDiscriminator,
     cycles: usize,
-) where
-    R: Real,
-    D: ?Sized + PrecisionDiscriminator<R>,
-{
-    assert_pooled_matches_serial_under_plan(cfg, chip, code, disc, cycles, &FaultPlan::none());
+) {
+    assert_pooled_matches_serial_under_plan::<R>(cfg, chip, code, disc, cycles, &FaultPlan::none());
 }
 
-fn assert_pooled_matches_serial_under_plan<R, D>(
+fn assert_pooled_matches_serial_under_plan<R: Real>(
     cfg: CycleConfig,
     chip: &ChipConfig,
     code: &RotatedSurfaceCode,
-    disc: &D,
+    disc: &MfDiscriminator,
     cycles: usize,
     plan: &FaultPlan,
-) where
-    R: Real,
-    D: ?Sized + PrecisionDiscriminator<R>,
-{
+) {
     let mut serial = CycleEngine::<R, _>::new(cfg, chip, code, disc);
     serial.set_fault_plan(plan.clone());
     let mut reference: Vec<(SyndromeBlock, surface_code::decoder::DecodeOutcome)> = Vec::new();
@@ -86,20 +79,20 @@ fn pooled_engine_is_bit_identical_to_serial_f64() {
         data_error_prob: 0.01,
         seed: 777,
     };
-    assert_pooled_matches_serial::<f64, _>(cfg, &chip, &code, disc.as_ref(), 4);
+    assert_pooled_matches_serial::<f64>(cfg, &chip, &code, &disc, 4);
 }
 
 #[test]
 fn pooled_engine_is_bit_identical_to_serial_f32() {
     let chip = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(5);
-    let disc = train_mf_discriminator_typed(&chip, 10, 404);
+    let disc = train_mf_discriminator(&chip, 10, 404);
     let cfg = CycleConfig {
         rounds: 5,
         data_error_prob: 0.01,
         seed: 777,
     };
-    assert_pooled_matches_serial::<f32, _>(cfg, &chip, &code, &disc, 4);
+    assert_pooled_matches_serial::<f32>(cfg, &chip, &code, &disc, 4);
 }
 
 #[test]
@@ -114,7 +107,7 @@ fn pooled_engine_with_idle_padding_slots_matches_serial() {
         data_error_prob: 0.012,
         seed: 13,
     };
-    assert_pooled_matches_serial::<f64, _>(cfg, &chip, &code, disc.as_ref(), 3);
+    assert_pooled_matches_serial::<f64>(cfg, &chip, &code, &disc, 3);
 }
 
 #[test]
@@ -156,14 +149,14 @@ fn pooled_engine_is_bit_identical_to_serial_under_active_faults() {
             gain: 3.0,
         },
     ]);
-    assert_pooled_matches_serial_under_plan::<f64, _>(cfg, &chip, &code, disc.as_ref(), 4, &plan);
+    assert_pooled_matches_serial_under_plan::<f64>(cfg, &chip, &code, &disc, 4, &plan);
 }
 
 #[test]
 fn pooled_engine_is_bit_identical_to_serial_under_active_faults_f32() {
     let chip = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(5);
-    let disc = train_mf_discriminator_typed(&chip, 10, 404);
+    let disc = train_mf_discriminator(&chip, 10, 404);
     let cfg = CycleConfig {
         rounds: 5,
         data_error_prob: 0.01,
@@ -184,7 +177,7 @@ fn pooled_engine_is_bit_identical_to_serial_under_active_faults_f32() {
             leak_ss: IqPoint::new(30.0, 30.0),
         },
     ]);
-    assert_pooled_matches_serial_under_plan::<f32, _>(cfg, &chip, &code, &disc, 4, &plan);
+    assert_pooled_matches_serial_under_plan::<f32>(cfg, &chip, &code, &disc, 4, &plan);
 }
 
 #[test]
@@ -204,12 +197,12 @@ fn one_pool_serves_several_engines() {
         data_error_prob: 0.02,
         seed: 2,
     };
-    let reference_a = CycleEngine::new(cfg_a, &chip, &code, disc.as_ref()).run_cycles(3);
-    let reference_b = CycleEngine::new(cfg_b, &chip, &code, disc.as_ref()).run_cycles(3);
+    let reference_a = CycleEngine::<f64>::new(cfg_a, &chip, &code, &disc).run_cycles(3);
+    let reference_b = CycleEngine::<f64>::new(cfg_b, &chip, &code, &disc).run_cycles(3);
 
     let pool = ShardPool::new(3);
-    let mut a = CycleEngine::with_pool(cfg_a, &chip, &code, disc.as_ref(), &pool);
-    let mut b = CycleEngine::with_pool(cfg_b, &chip, &code, disc.as_ref(), &pool);
+    let mut a = CycleEngine::<f64>::with_pool(cfg_a, &chip, &code, &disc, &pool);
+    let mut b = CycleEngine::<f64>::with_pool(cfg_b, &chip, &code, &disc, &pool);
     for i in 0..3 {
         assert_eq!(a.run_cycle().outcome, reference_a[i].outcome);
         assert_eq!(b.run_cycle().outcome, reference_b[i].outcome);

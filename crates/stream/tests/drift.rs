@@ -9,7 +9,7 @@
 //! statistical hopes.
 
 use herqles_stream::{
-    train_mf_discriminator_typed, AdaptiveMf, CycleConfig, CycleEngine, CycleResult, DriftEvent,
+    train_mf_discriminator, AdaptiveMf, CycleConfig, CycleEngine, CycleResult, DriftEvent,
     FaultPlan, HealthConfig, HealthStatus, RecalConfig, Recalibrate, ShardPool,
 };
 use readout_sim::ChipConfig;
@@ -27,7 +27,7 @@ fn mean_events(results: &[CycleResult]) -> f64 {
 fn drift_is_detected_and_recovered_by_hot_swap() {
     let chip = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(3);
-    let mf = train_mf_discriminator_typed(&chip, 16, 99);
+    let mf = train_mf_discriminator(&chip, 16, 99);
     // The ring must hold genuinely excited ancilla windows for the retrain
     // to see both classes — QEC traffic at a realistic data error rate
     // provides them (at very low error rates the excited class starves and
@@ -141,7 +141,7 @@ fn drift_is_detected_and_recovered_by_hot_swap() {
 fn fault_plan_validation_rejects_out_of_range_channels() {
     let chip = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(3);
-    let mf = train_mf_discriminator_typed(&chip, 8, 1);
+    let mf = train_mf_discriminator(&chip, 8, 1);
     let cfg = CycleConfig {
         rounds: 3,
         data_error_prob: 0.004,
@@ -171,7 +171,7 @@ fn emptying_the_fault_plan_restores_nominal_synthesis() {
     // plan would keep drifting every later round.
     let chip = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(3);
-    let mf = train_mf_discriminator_typed(&chip, 8, 5);
+    let mf = train_mf_discriminator(&chip, 8, 5);
     let cfg = CycleConfig {
         rounds: 3,
         data_error_prob: 0.01,

@@ -15,8 +15,8 @@
 
 use herqles_core::designs::MfDiscriminator;
 use herqles_stream::{
-    run_cycles_offline, train_mf_discriminator_typed, CycleConfig, CycleEngine, DriftEvent,
-    EngineStats, FaultPlan, PrecisionDiscriminator, Real, ShardPool, StageNanos,
+    run_cycles_offline, train_mf_discriminator, CycleConfig, CycleEngine, DriftEvent, EngineStats,
+    FaultPlan, Real, ShardPool, StageNanos,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -45,8 +45,8 @@ struct Run {
     stats: EngineStats,
 }
 
-fn run<R: Real, D: ?Sized + PrecisionDiscriminator<R>>(
-    engine: &mut CycleEngine<'_, R, D>,
+fn run<R: Real>(
+    engine: &mut CycleEngine<'_, R, MfDiscriminator>,
     plan: &FaultPlan,
     mode: Mode,
 ) -> Run {
@@ -135,12 +135,9 @@ fn assert_conserved(tag: &str, got: &Run, reference: &Run) {
     }
 }
 
-fn sweep<R: Real>(seed: u64)
-where
-    MfDiscriminator: PrecisionDiscriminator<R>,
-{
+fn sweep<R: Real>(seed: u64) {
     let chip = ChipConfig::two_qubit_test();
-    let disc = train_mf_discriminator_typed(&chip, 10, 404);
+    let disc = train_mf_discriminator(&chip, 10, 404);
     let pools = THREADS.map(ShardPool::new);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut drawn = [false; THREADS.len()];

@@ -91,8 +91,8 @@ fn telemetry_overhead_stays_under_five_percent() {
     // minimum is taken over both engines, and a placement effect hits both
     // arms alike.
     let mut engines = [
-        CycleEngine::new(cfg, &chip, &code, disc.as_ref()),
-        CycleEngine::new(cfg, &chip, &code, disc.as_ref()),
+        CycleEngine::<f64>::new(cfg, &chip, &code, &disc),
+        CycleEngine::<f64>::new(cfg, &chip, &code, &disc),
     ];
     engines[1].set_telemetry_enabled(false);
 

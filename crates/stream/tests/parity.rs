@@ -12,8 +12,8 @@ fn assert_parity(chip: &ChipConfig, distance: usize, cfg: CycleConfig, cycles: u
     let code = RotatedSurfaceCode::new(distance);
     let disc = train_mf_discriminator(chip, 10, 404);
 
-    let offline = run_cycles_offline(&cfg, chip, &code, disc.as_ref(), cycles);
-    let mut engine = CycleEngine::new(cfg, chip, &code, disc.as_ref());
+    let offline = run_cycles_offline(&cfg, chip, &code, &disc, cycles);
+    let mut engine = CycleEngine::<f64>::new(cfg, chip, &code, &disc);
     let mut streamed: Vec<(SyndromeBlock, surface_code::decoder::DecodeOutcome)> = Vec::new();
     for _ in 0..cycles {
         let result = engine.run_cycle();
@@ -80,8 +80,8 @@ fn engine_rng_stream_is_one_continuous_sequence() {
         data_error_prob: 0.02,
         seed: 55,
     };
-    let offline = run_cycles_offline(&cfg, &chip, &code, disc.as_ref(), 4);
-    let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+    let offline = run_cycles_offline(&cfg, &chip, &code, &disc, 4);
+    let mut engine = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
     let outcomes: Vec<_> = engine.cycles().take(4).map(|r| r.outcome).collect();
     let expected: Vec<_> = offline.iter().map(|c| c.outcome).collect();
     assert_eq!(outcomes, expected);

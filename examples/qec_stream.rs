@@ -14,8 +14,8 @@ use herqles::exec::PoolTelemetry;
 use herqles::qec::RotatedSurfaceCode;
 use herqles::sim::{ChipConfig, DriftEvent, FaultPlan};
 use herqles::stream::{
-    demo_alert_rules, train_mf_discriminator, train_mf_discriminator_typed, AdaptiveMf,
-    CycleConfig, CycleEngine, EngineTelemetry, HealthConfig, RecalConfig, ShardPool,
+    demo_alert_rules, train_mf_discriminator, AdaptiveMf, CycleConfig, CycleEngine,
+    EngineTelemetry, HealthConfig, RecalConfig, ShardPool,
 };
 use herqles::telemetry::{AlertEngine, ChromeTrace, Registry};
 
@@ -42,7 +42,7 @@ fn main() {
             data_error_prob: 4e-3,
             seed: 1,
         };
-        let mut engine = CycleEngine::new(cfg, &chip, &code, disc.as_ref());
+        let mut engine = CycleEngine::<f64>::new(cfg, &chip, &code, &disc);
         println!(
             "\ndistance {distance}: {} ancillas on {} feedline groups of {} channels",
             code.n_stabilizers(),
@@ -82,7 +82,7 @@ fn main() {
         let pool = ShardPool::new(4);
         let workers = Arc::new(PoolTelemetry::new(pool.threads()));
         pool.set_telemetry(Some(Arc::clone(&workers)));
-        let mut parallel = CycleEngine::with_pool(cfg, &chip, &code, disc.as_ref(), &pool);
+        let mut parallel = CycleEngine::<f64>::with_pool(cfg, &chip, &code, &disc, &pool);
         let serial_errors = totals.logical_errors;
         let pooled: u64 = parallel
             .cycles()
@@ -125,7 +125,7 @@ fn main() {
     println!("\ndrifted adaptive run with the demo SLO alert set:");
     let chip2 = ChipConfig::two_qubit_test();
     let code = RotatedSurfaceCode::new(3);
-    let mf = train_mf_discriminator_typed(&chip2, 12, 7);
+    let mf = train_mf_discriminator(&chip2, 12, 7);
     let adaptive = AdaptiveMf::from_mf(
         &mf,
         RecalConfig {
